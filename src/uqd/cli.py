@@ -185,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"{TOOL_NAME}: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

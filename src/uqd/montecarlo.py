@@ -1,30 +1,26 @@
 """Monte Carlo validation of the analytic averages.
 
 Program qubits are drawn uniformly from the Bloch sphere (cos(theta) uniform
-on [-1, 1], phi uniform on [0, 2 pi)) using a counter-based Philox stream, so
-a fixed seed pins every sample regardless of how the batch is later split:
-sample i consumes row i of the draw table.  Per-pair success probabilities
-are averaged exactly (no outcome sampling) except in `simulate_outcomes`,
-which rolls individual measurement clicks.
+on [-1, 1], phi uniform on [0, 2 pi)) using a counter-based Philox stream.
+Draws are taken chunk by chunk from one generator, row-major, so sample i
+consumes row i of the draw table whatever the chunk size: seeded results do
+not depend on it.  Per-pair success probabilities are averaged exactly (no
+outcome sampling) except in `simulate_outcomes`, which rolls individual
+measurement clicks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .povm import (
-    PovmParams,
-    batch_success_probabilities,
-    build_povm,
-    symmetric_overlap_batch,
-)
-from .symmetric import BlochQubit, _check_copies, build_input_state
+from .povm import PovmParams, batch_success_probabilities, symmetric_overlap_batch
+from .symmetric import BlochQubit, _check_copies
 from .strategy import DiscriminatorConfig, decide
 
-_CHUNK = 8192
 _LEAK_TOL = 1e-10
 
 
@@ -42,16 +38,31 @@ def sample_qubit(rng: np.random.Generator) -> BlochQubit:
     return BlochQubit(math.acos(cos_theta), phi)
 
 
-def _sample_pair_angles(
-    seed: int, samples: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Angle arrays (theta1, phi1, theta2, phi2); row i is sample i."""
-    u = make_rng(seed).random((samples, 4))
-    theta1 = np.arccos(2.0 * u[:, 0] - 1.0)
-    phi1 = 2 * math.pi * u[:, 1]
-    theta2 = np.arccos(2.0 * u[:, 2] - 1.0)
-    phi2 = 2 * math.pi * u[:, 3]
-    return theta1, phi1, theta2, phi2
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk: 8192, cut so that (rows, n+2) temporaries stay near 8 MB."""
+    return min(8192, max(1, 2**20 // (n + 2)))
+
+
+def _pair_angle_chunks(
+    n: int, seed: int, samples: int
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (rows, theta1, phi1, theta2, phi2) chunk by chunk.
+
+    Each chunk draws its (rows, 4) uniforms in turn from one generator, which
+    reproduces the all-at-once table bit for bit: row i is sample i.
+    """
+    rng = make_rng(seed)
+    step = _chunk_rows(n)
+    for start in range(0, samples, step):
+        stop = min(start + step, samples)
+        u = rng.random((stop - start, 4))
+        yield (
+            slice(start, stop),
+            np.arccos(2.0 * u[:, 0] - 1.0),
+            2 * math.pi * u[:, 1],
+            np.arccos(2.0 * u[:, 2] - 1.0),
+            2 * math.pi * u[:, 3],
+        )
 
 
 @dataclass(frozen=True)
@@ -94,15 +105,11 @@ def mc_average_success(
     _check_samples(samples)
     if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
         raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")
-    theta1, phi1, theta2, phi2 = _sample_pair_angles(seed, samples)
-
     weighted = np.empty(samples)
     error_events = 0
-    for start in range(0, samples, _CHUNK):
-        stop = min(start + _CHUNK, samples)
-        sl = slice(start, stop)
+    for sl, theta1, phi1, theta2, phi2 in _pair_angle_chunks(n, seed, samples):
         p1, p2, leak1, leak2 = batch_success_probabilities(
-            n, params, theta1[sl], phi1[sl], theta2[sl], phi2[sl]
+            n, params, theta1, phi1, theta2, phi2
         )
         weighted[sl] = eta1 * p1 + (1.0 - eta1) * p2
         error_events += int(np.count_nonzero((leak1 > _LEAK_TOL) | (leak2 > _LEAK_TOL)))
@@ -126,14 +133,9 @@ def _projector_mean_stats(n: int, samples: int, seed: int) -> tuple[float, float
     """(mean, standard error) of the symmetric overlap over uniform pairs."""
     _check_copies(n)
     _check_samples(samples)
-    theta1, phi1, theta2, phi2 = _sample_pair_angles(seed, samples)
     overlaps = np.empty(samples)
-    for start in range(0, samples, _CHUNK):
-        stop = min(start + _CHUNK, samples)
-        sl = slice(start, stop)
-        overlaps[sl] = symmetric_overlap_batch(
-            n, theta1[sl], phi1[sl], theta2[sl], phi2[sl]
-        )
+    for sl, theta1, phi1, theta2, phi2 in _pair_angle_chunks(n, seed, samples):
+        overlaps[sl] = symmetric_overlap_batch(n, theta1, phi1, theta2, phi2)
     mean = float(np.mean(overlaps))
     std_error = float(np.std(overlaps, ddof=1) / math.sqrt(samples))
     return mean, std_error
@@ -182,21 +184,23 @@ def simulate_outcomes(
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
     decision = decide(config)
-    triple = build_povm(config.n, PovmParams(decision.c1_opt, decision.c2_opt))
-
-    distributions = []
-    for which in (1, 2):
-        state = build_input_state(psi1, psi2, config.n, which)
-        amps = state.amplitudes
-        probs = np.array(
-            [
-                float(np.real(np.vdot(amps, op.entries @ amps)))
-                for op in (triple.pi1, triple.pi2, triple.pi0)
-            ]
+    p1, p2, leak1, leak2 = (
+        float(x[0])
+        for x in batch_success_probabilities(
+            config.n,
+            PovmParams(decision.c1_opt, decision.c2_opt),
+            [psi1.theta],
+            [psi1.phi],
+            [psi2.theta],
+            [psi2.phi],
         )
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise RuntimeError(f"outcome probabilities sum to {total!r}")
+    )
+    # (identify1, identify2, fail) for input 1, then for input 2.
+    distributions = []
+    for probs in ((p1, leak1, 1.0 - p1 - leak1), (leak2, p2, 1.0 - leak2 - p2)):
+        probs = np.array(probs)
+        if probs.min() < -1e-10:
+            raise RuntimeError(f"negative outcome probability in {probs.tolist()!r}")
         probs = np.clip(probs, 0.0, None)
         distributions.append(np.cumsum(probs / probs.sum()))
 

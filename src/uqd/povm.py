@@ -6,6 +6,13 @@ even-plus-tail group is n+1 copies of one state, hence symmetric, so the
 complement annihilates it: a click can only come from the other preparation
 and the measurement never misidentifies.  The inconclusive element is fixed
 by completeness.
+
+The dense operators serve the spectral analysis and small-n cross-checks.
+Per-pair quantities never need them: n copies of |b> plus one |a> have
+weight (1 + n |<a|b>|^2)/(n+1) in the symmetric subspace, so the success
+probabilities cost O(1) per qubit pair, and the leak into the wrong element
+is an explicit O(n) projection through the two-nonzeros-per-row factor of
+`tail_split_vectors`.
 """
 
 from __future__ import annotations
@@ -21,15 +28,10 @@ from .symmetric import (
     ReducedOperator,
     ReducedState,
     _check_copies,
-    binomial,
     build_input_state,
     build_symmetric_projector,
-    dicke_amplitudes_batch,
     dicke_magnitudes_batch,
-    log_binomial,
-    pair_projector,
     reduced_dim,
-    _DIRECT_N_MAX,
 )
 
 
@@ -96,6 +98,21 @@ def success_probability(state: ReducedState, triple: PovmTriple, which: int) -> 
     return _expectation(state, triple.pi1 if which == 1 else triple.pi2)
 
 
+def _half_angles(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    return np.cos(theta / 2), np.sin(theta / 2)
+
+
+def _fidelity(
+    theta_a: np.ndarray, phi_a: np.ndarray, theta_b: np.ndarray, phi_b: np.ndarray
+) -> np.ndarray:
+    """|<a|b>|^2 = c_a^2 c_b^2 + s_a^2 s_b^2 + 2 c_a c_b s_a s_b cos(phi_a - phi_b)."""
+    ca, sa = _half_angles(theta_a)
+    cb, sb = _half_angles(theta_b)
+    cos_delta = np.cos(np.asarray(phi_a, dtype=float) - phi_b)
+    return (ca * cb) ** 2 + (sa * sb) ** 2 + 2 * ca * cb * sa * sb * cos_delta
+
+
 def symmetric_overlap_batch(
     n: int,
     theta_tail: np.ndarray,
@@ -105,52 +122,50 @@ def symmetric_overlap_batch(
 ) -> np.ndarray:
     """Overlap of a register with the projected block-plus-tail subspace.
 
-    The projected block is filled with copies of (theta_block, phi_block)
+    The projected block is filled with n copies of (theta_block, phi_block)
     and the tail carries (theta_tail, phi_tail); the spectator block drops
-    out because it is normalized.  Summing the Dicke expansion in closed
-    form gives, with w_k the binomial weight of the block qubit,
-
-        sum_k [ (n-k+1) cos^2(tail/2) + (k+1) sin^2(tail/2) ] w_k / (n+1)
-      + sum_k 2k v_k cos(tail/2) sin(tail/2) cos(phi_tail - phi_block) / (n+1)
-
-    where v_k shifts one block excitation onto the tail.
+    out because it is normalized.  n copies of |b> plus one |a> have weight
+    (1 + n F)/(n+1) in the symmetric subspace, F = |<a|b>|^2 (Bergou &
+    Hillery), so this costs O(1) per pair.
     """
     _check_copies(n)
-    th_i = np.atleast_1d(np.asarray(theta_tail, dtype=float))
-    ph_i = np.atleast_1d(np.asarray(phi_tail, dtype=float))
-    th_j = np.atleast_1d(np.asarray(theta_block, dtype=float))
-    ph_j = np.atleast_1d(np.asarray(phi_block, dtype=float))
+    fid = _fidelity(theta_tail, phi_tail, theta_block, phi_block)
+    return (1.0 + n * fid) / (n + 1)
 
+
+def projected_overlap_batch(
+    n: int,
+    theta_block: np.ndarray,
+    phi_block: np.ndarray,
+    theta_tail: np.ndarray,
+    phi_tail: np.ndarray,
+) -> np.ndarray:
+    """The same overlap as `symmetric_overlap_batch`, by explicit projection.
+
+    Computes ||V (a^{xn} x psi)||^2 with V the rank-(n+2) factor of
+    `tail_split_vectors`: row k has sqrt((n+1-k)/(n+1)) on |e_k>|0> and
+    sqrt(k/(n+1)) on |e_{k-1}>|1>.  With w_k the Dicke magnitudes of the
+    block qubit a and Delta = phi_tail - phi_block the global phases drop out,
+    leaving O(n) real arithmetic per pair:
+
+        sum_k (n+1-k) w_k^2 c^2 / (n+1) + sum_k (k+1) w_k^2 s^2 / (n+1)
+      + 2 c s cos(Delta) sum_{k>=1} sqrt(k (n+1-k)) w_k w_{k-1} / (n+1)
+
+    where (c, s) are the tail's half-angle amplitudes.  It shares no formula
+    with the closed form, which makes it the independent route the leak
+    estimate relies on.
+    """
+    _check_copies(n)
+    w = dicke_magnitudes_batch(n, theta_block)
+    ct, st = _half_angles(theta_tail)
+    cos_delta = np.cos(np.asarray(phi_tail, dtype=float) - phi_block)
     k = np.arange(n + 1)
-    w = dicke_magnitudes_batch(n, th_j) ** 2
-    ci2 = np.cos(th_i / 2) ** 2
-    si2 = np.sin(th_i / 2) ** 2
-    diagonal = (
-        ((n - k + 1) * ci2[:, None] + (k + 1) * si2[:, None]) / (n + 1) * w
-    ).sum(axis=1)
-
-    kk = np.arange(1, n + 1)
-    cross = (2 * kk / (n + 1) * _shifted_weights(n, th_j)).sum(axis=1)
-    cross = cross * np.cos(th_i / 2) * np.sin(th_i / 2) * np.cos(ph_i - ph_j)
-    return diagonal + cross
-
-
-def _shifted_weights(n: int, thetas: np.ndarray) -> np.ndarray:
-    """C(n,k) cos^{2(n-k)+1}(theta/2) sin^{2k-1}(theta/2) for k = 1..n."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    kk = np.arange(1, n + 1)
-    c = np.cos(thetas / 2)[:, None]
-    s = np.sin(thetas / 2)[:, None]
-    ce = 2 * (n - kk) + 1
-    se = 2 * kk - 1
-    if n <= _DIRECT_N_MAX:
-        coeff = np.array([float(binomial(n, int(j))) for j in kk])
-        return coeff * c**ce * s**se
-    log_coeff = np.array([log_binomial(n, int(j)) for j in kk])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Exponents are all >= 1, so a zero base simply sends the term to 0.
-        log_w = log_coeff + ce * np.log(c) + se * np.log(s)
-    return np.exp(log_w)
+    w2 = w * w
+    stay = w2 @ ((n + 1 - k) / (n + 1))
+    move = w2 @ ((k + 1) / (n + 1))
+    kk = k[1:]
+    cross = (w[:, 1:] * w[:, :-1]) @ (np.sqrt(kk * (n + 1 - kk)) / (n + 1))
+    return ct**2 * stay + st**2 * move + 2 * ct * st * cos_delta * cross
 
 
 def closed_form_expectation(
@@ -181,40 +196,19 @@ def batch_success_probabilities(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Success probabilities and cross-element leakage for qubit-pair batches.
 
-    Returns (p1, p2, leak1, leak2) where leak_i is the probability that the
-    wrong conclusive element fires on input i; both should vanish to float
-    precision.  The quadratic forms collapse onto the 2(n+1)-dimensional
-    pair space because the spectator block is normalized.
+    Returns (p1, p2, leak1, leak2).  The successes are closed form, O(1) per
+    pair: p_i = c_i n (1 - F)/(n+1) with F = |<psi1|psi2>|^2.  leak_i is the
+    probability that the wrong conclusive element fires on input i, whose
+    projected block and tail hold the same qubit; it is computed by
+    `projected_overlap_batch` at O(n) per pair and should vanish to float
+    precision.
     """
     _check_copies(n)
-    pair = pair_projector(n)
-    a1 = dicke_amplitudes_batch(n, theta1, phi1)
-    a2 = dicke_amplitudes_batch(n, theta2, phi2)
-    t1 = np.stack(
-        [
-            np.cos(np.atleast_1d(theta1) / 2),
-            np.sin(np.atleast_1d(theta1) / 2) * np.exp(1j * np.atleast_1d(phi1)),
-        ],
-        axis=-1,
-    )
-    t2 = np.stack(
-        [
-            np.cos(np.atleast_1d(theta2) / 2),
-            np.sin(np.atleast_1d(theta2) / 2) * np.exp(1j * np.atleast_1d(phi2)),
-        ],
-        axis=-1,
-    )
-
-    def overlap(block_amps: np.ndarray, tail_amps: np.ndarray) -> np.ndarray:
-        v = (block_amps[:, :, None] * tail_amps[:, None, :]).reshape(
-            block_amps.shape[0], -1
-        )
-        return np.einsum("sd,de,se->s", v.conj(), pair, v).real
-
-    p1 = params.c1 * (1.0 - overlap(a2, t1))
-    p2 = params.c2 * (1.0 - overlap(a1, t2))
-    leak1 = params.c2 * (1.0 - overlap(a1, t1))
-    leak2 = params.c1 * (1.0 - overlap(a2, t2))
+    miss = n * (1.0 - _fidelity(theta1, phi1, theta2, phi2)) / (n + 1)
+    p1 = params.c1 * miss
+    p2 = params.c2 * miss
+    leak1 = params.c2 * (1.0 - projected_overlap_batch(n, theta1, phi1, theta1, phi1))
+    leak2 = params.c1 * (1.0 - projected_overlap_batch(n, theta2, phi2, theta2, phi2))
     return p1, p2, leak1, leak2
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import uqd.cli
 from uqd.cli import main
 from uqd.strategy import validity_range
 
@@ -161,6 +162,18 @@ def test_spectrum_idle_point(capsys):
 def test_spectrum_flag_validation(capsys):
     code = _run_usage_error(capsys, ["spectrum", "--n", "2", "--c1", "1.5", "--c2", "0"])
     assert code == 2
+
+
+def test_memory_error_exits_1(capsys, monkeypatch):
+    def exhausted(n, params):
+        raise MemoryError("Unable to allocate 48.6 GiB")
+
+    monkeypatch.setattr(uqd.cli, "spectrum_report", exhausted)
+    code, out, err = _run(capsys, ["spectrum", "--n", "200", "--c1", "0.5", "--c2", "0.5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("uqd: ") and "48.6 GiB" in err
+    assert "Traceback" not in err
 
 
 def test_montecarlo_subcommand(capsys):

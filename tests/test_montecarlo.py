@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import uqd.montecarlo
 from uqd.montecarlo import (
     McReport,
     OutcomeCounts,
@@ -179,3 +180,15 @@ def test_chunk_layout_is_row_stable():
     long = make_rng(31).random((5000, 4))
     short = make_rng(31).random((3000, 4))
     assert np.array_equal(long[:3000], short)
+
+
+@pytest.mark.parametrize("n", [3, 50])
+def test_results_do_not_depend_on_chunk_size(n, monkeypatch):
+    samples = 10000
+    params = PovmParams(0.45, 0.55)
+    default_report = mc_average_success(n, params, 0.4, samples, 17)
+    default_stats = _projector_mean_stats(n, samples, 17)
+    for rows in (1000, 4096, samples):
+        monkeypatch.setattr(uqd.montecarlo, "_chunk_rows", lambda n, rows=rows: rows)
+        assert mc_average_success(n, params, 0.4, samples, 17) == default_report
+        assert _projector_mean_stats(n, samples, 17) == default_stats

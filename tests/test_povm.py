@@ -13,11 +13,18 @@ from uqd.povm import (
     build_povm,
     closed_form_expectation,
     no_error_check,
+    projected_overlap_batch,
     success_probability,
     symmetric_overlap_batch,
     total_success,
 )
-from uqd.symmetric import BlochQubit, build_input_state, reduced_dim
+from uqd.symmetric import (
+    BlochQubit,
+    build_input_state,
+    dicke_amplitudes,
+    reduced_dim,
+    tail_split_vectors,
+)
 
 thetas = st.floats(min_value=0.0, max_value=math.pi)
 phis = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
@@ -160,26 +167,92 @@ def test_no_error_check_stays_at_float_noise(t1, p1, t2, p2, c1, c2):
     assert leak < 1e-10
 
 
+def _random_pairs(rng, count):
+    theta1 = np.arccos(rng.uniform(-1, 1, count))
+    theta2 = np.arccos(rng.uniform(-1, 1, count))
+    phi1 = rng.uniform(0, 2 * math.pi, count)
+    phi2 = rng.uniform(0, 2 * math.pi, count)
+    return theta1, phi1, theta2, phi2
+
+
 def test_batch_matches_scalar_route():
     rng = np.random.default_rng(7)
-    n, params = 3, PovmParams(0.35, 0.45)
-    triple = build_povm(n, params)
-    theta1 = np.arccos(rng.uniform(-1, 1, 20))
-    theta2 = np.arccos(rng.uniform(-1, 1, 20))
-    phi1 = rng.uniform(0, 2 * math.pi, 20)
-    phi2 = rng.uniform(0, 2 * math.pi, 20)
+    params = PovmParams(0.35, 0.45)
+    theta1, phi1, theta2, phi2 = _random_pairs(rng, 20)
+    # edge pairs: poles, identical qubits, antipodal qubits
+    edges = [
+        (0.0, 0.0, math.pi, 0.0),
+        (math.pi, 1.3, 0.0, 4.0),
+        (0.0, 0.0, 0.0, 2.0),
+        (math.pi, 0.5, math.pi, 5.5),
+        (1.1, 0.7, 1.1, 0.7),
+        (0.4, 2.0, math.pi - 0.4, 2.0 + math.pi),
+        (math.pi / 2, 0.0, math.pi / 2, math.pi),
+    ]
+    theta1, phi1, theta2, phi2 = (
+        np.concatenate([col, [edge[i] for edge in edges]])
+        for i, col in enumerate((theta1, phi1, theta2, phi2))
+    )
+    for n in (1, 2, 5, 8):
+        triple = build_povm(n, params)
+        p1, p2, leak1, leak2 = batch_success_probabilities(
+            n, params, theta1, phi1, theta2, phi2
+        )
+        for i in range(len(theta1)):
+            psi1 = BlochQubit(theta1[i], phi1[i])
+            psi2 = BlochQubit(theta2[i], phi2[i])
+            s1 = build_input_state(psi1, psi2, n, 1)
+            s2 = build_input_state(psi1, psi2, n, 2)
+            assert abs(p1[i] - success_probability(s1, triple, 1)) < 1e-12
+            assert abs(p2[i] - success_probability(s2, triple, 2)) < 1e-12
+            assert abs(leak1[i] - success_probability(s1, triple, 2)) < 1e-12
+            assert abs(leak2[i] - success_probability(s2, triple, 1)) < 1e-12
+        assert np.max(np.abs(leak1)) < 1e-12
+        assert np.max(np.abs(leak2)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_batch_closed_form_and_leak_at_large_n(n):
+    # the range where Dicke magnitudes switch to log space
+    rng = np.random.default_rng(n)
+    params = PovmParams(0.5, 0.7)
+    theta1, phi1, theta2, phi2 = _random_pairs(rng, 200)
     p1, p2, leak1, leak2 = batch_success_probabilities(
         n, params, theta1, phi1, theta2, phi2
     )
-    for i in range(20):
-        psi1 = BlochQubit(theta1[i], phi1[i])
-        psi2 = BlochQubit(theta2[i], phi2[i])
-        s1 = build_input_state(psi1, psi2, n, 1)
-        s2 = build_input_state(psi1, psi2, n, 2)
-        assert abs(p1[i] - success_probability(s1, triple, 1)) < 1e-12
-        assert abs(p2[i] - success_probability(s2, triple, 2)) < 1e-12
-    assert np.max(leak1) < 1e-12
-    assert np.max(leak2) < 1e-12
+    fid = 0.5 * (
+        1
+        + np.cos(theta1) * np.cos(theta2)
+        + np.sin(theta1) * np.sin(theta2) * np.cos(phi1 - phi2)
+    )
+    miss = n * (1 - fid) / (n + 1)
+    assert np.max(np.abs(p1 - params.c1 * miss)) < 1e-12
+    assert np.max(np.abs(p2 - params.c2 * miss)) < 1e-12
+    assert np.max(np.abs(leak1)) < 1e-10
+    assert np.max(np.abs(leak2)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 60])
+def test_projection_of_mismatched_qubits_matches_closed_form(n):
+    # block and tail hold different qubits, so the overlap is not trivially 1
+    rng = np.random.default_rng(100 + n)
+    theta_b, phi_b, theta_t, phi_t = _random_pairs(rng, 50)
+    projected = projected_overlap_batch(n, theta_b, phi_b, theta_t, phi_t)
+    fid = 0.5 * (
+        1
+        + np.cos(theta_b) * np.cos(theta_t)
+        + np.sin(theta_b) * np.sin(theta_t) * np.cos(phi_b - phi_t)
+    )
+    assert np.max(np.abs(projected - (1 + n * fid) / (n + 1))) < 1e-12
+    assert np.max(np.abs(fid - 1)) > 0.1
+    if n <= 8:
+        # the same projection through the dense tail_split_vectors factor
+        v = tail_split_vectors(n)
+        for i in range(len(theta_b)):
+            block = dicke_amplitudes(BlochQubit(theta_b[i], phi_b[i]), n)
+            tail = BlochQubit(theta_t[i], phi_t[i]).amplitudes()
+            dense = np.linalg.norm(v @ np.kron(block, tail)) ** 2
+            assert abs(projected[i] - dense) < 1e-12
 
 
 def test_overlap_batch_shapes():
