@@ -251,13 +251,17 @@ def _blocks_by_label(real: np.ndarray, basis: TransformedBasis) -> list[Extracte
 
 
 def closed_form_extreme_eigenvalues(n: int, params: PovmParams) -> tuple[float, float]:
-    """Least and greatest members of the shared extreme eigenvalue pair."""
+    """Least and greatest members of the shared extreme eigenvalue pair.
+
+    The product c1 * c2 is formed first so that swapping the scales gives
+    bit-identical results.
+    """
     _check_copies(n)
     c1, c2 = params.c1, params.c2
     radicand = (
         c1**2 / 4
         + c2**2 / 4
-        + (n**2 - 2 * n - 1) * c1 * c2 / (2 * (n + 1) ** 2)
+        + (c1 * c2) * (n**2 - 2 * n - 1) / (2 * (n + 1) ** 2)
     )
     root = math.sqrt(max(radicand, 0.0))
     center = 1.0 - (c1 + c2) / 2

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqd.povm import PovmParams, build_povm
@@ -175,6 +175,7 @@ def test_extreme_eigenvalues_symmetric_scales():
 
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=6), scales, scales)
+@example(n=4, c1=0.798828125, c2=0.32035584128430045)
 def test_extreme_eigenvalues_swap_symmetry(n, c1, c2):
     assert closed_form_extreme_eigenvalues(
         n, PovmParams(c1, c2)
