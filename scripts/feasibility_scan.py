@@ -11,8 +11,8 @@ import pathlib
 
 import numpy as np
 
-from uqd.povm import PovmParams, build_povm
-from uqd.spectral import constraint_c2, positivity_check
+from uqd.povm import PovmParams
+from uqd.spectral import constraint_c2, spectrum_report
 
 
 def main(argv=None):
@@ -32,13 +32,13 @@ def main(argv=None):
         writer.writerow(["c1", "c2", "min_eigenvalue", "feasible"])
         for c1 in values:
             for c2 in values:
-                check = positivity_check(build_povm(args.n, PovmParams(c1, c2)))
+                report = spectrum_report(args.n, PovmParams(c1, c2))
                 writer.writerow(
                     [
                         f"{c1:.17g}",
                         f"{c2:.17g}",
-                        f"{check.numeric_min:.17g}",
-                        int(check.feasible),
+                        f"{report.min_eigenvalue:.17g}",
+                        int(report.feasible),
                     ]
                 )
 
@@ -46,8 +46,8 @@ def main(argv=None):
     worst = 0.0
     for c1 in values:
         saturated = PovmParams(c1, constraint_c2(float(c1), args.n))
-        check = positivity_check(build_povm(args.n, saturated))
-        worst = max(worst, abs(check.numeric_min))
+        report = spectrum_report(args.n, saturated)
+        worst = max(worst, abs(report.min_eigenvalue))
     print(f"wrote {path} ({args.grid}x{args.grid} grid, n={args.n})")
     print(f"largest |min eigenvalue| along the constraint curve: {worst:.3e}")
     return 0

@@ -29,6 +29,7 @@ from .povm import (
     total_success,
 )
 from .spectral import (
+    SECTOR_N_MAX,
     BlockStructureError,
     SpectrumReport,
     TransformedBasis,
@@ -37,6 +38,7 @@ from .spectral import (
     constraint_c2,
     extract_blocks,
     positivity_check,
+    sector_blocks,
     spectrum_report,
     transformed_pi0,
 )

@@ -25,11 +25,13 @@ from .spectral import (
     closed_form_extreme_eigenvalues,
     extract_blocks,
     positivity_check,
+    sector_blocks,
     transformed_pi0,
 )
 from .symmetric import (
     Block,
     BlochQubit,
+    ReducedIndex,
     ReducedState,
     _check_copies,
     binomial,
@@ -322,7 +324,9 @@ def run_verification(n_max: int, pairs: int = 100, seed: int = 2024) -> list[Che
             annihilated = math.inf
         results.append(_result(f"n={n} antisymmetric pair annihilated", annihilated, 1e-12))
 
-        results.append(_block_check(n, PovmParams(0.3, 0.4)))
+        results.append(
+            _block_check(n, PovmParams(0.3, 0.4), embedding, p_even_full, p_odd_full)
+        )
 
         spectral_dev = 0.0
         for c1, c2 in ((0.3, 0.4), (0.7, 0.2), (1.0, 1.0)):
@@ -337,23 +341,57 @@ def run_verification(n_max: int, pairs: int = 100, seed: int = 2024) -> list[Che
     return results
 
 
-def _block_check(n: int, params: PovmParams) -> CheckResult:
-    """Block sizes, per-block eigenvalue pairing, and the shared extreme pair."""
+def _block_check(
+    n: int,
+    params: PovmParams,
+    embedding: np.ndarray,
+    p_even_full: np.ndarray,
+    p_odd_full: np.ndarray,
+) -> CheckResult:
+    """Block sizes, per-block eigenvalue pairing and the shared extreme pair,
+    for the dense extracted blocks and for the sector blocks; each sector
+    block must also equal E_s^T pi0_full E_s, with E_s the full-space images
+    of its reduced basis vectors."""
     triple = build_povm(n, params)
     basis = build_transform(n)
-    blocks = extract_blocks(transformed_pi0(triple, basis), basis)
+    extracted = extract_blocks(transformed_pi0(triple, basis), basis)
+    sectors = sector_blocks(n, params)
+    spectra = [(b.l, b.eigenvalues) for b in extracted] + [
+        (min(s, 2 * n + 1 - s), np.linalg.eigvalsh(block))
+        for s, block in enumerate(sectors)
+    ]
     low, high = closed_form_extreme_eigenvalues(n, params)
     pair_sum = 2.0 - params.c1 - params.c2
     deviation = 0.0
-    for block in blocks:
-        eigs = np.sort(block.eigenvalues)
+    for l, eigenvalues in spectra:
+        eigs = np.sort(eigenvalues)
         deviation = max(deviation, abs(eigs[-1] - 1.0))
-        for i in range(block.l):
-            deviation = max(deviation, abs(eigs[i] + eigs[2 * block.l - 1 - i] - pair_sum))
-        if block.l >= 1:
+        for i in range(l):
+            deviation = max(deviation, abs(eigs[i] + eigs[2 * l - 1 - i] - pair_sum))
+        if l >= 1:
             deviation = max(
                 deviation,
                 float(np.min(np.abs(eigs - low))),
                 float(np.min(np.abs(eigs - high))),
             )
+
+    # pi0_full = (1 - c1 - c2) I + c1 P_even + c2 P_odd; the columns of E_s
+    # vanish outside the basis states of weight s, so only those rows of the
+    # projectors enter
+    for s, block in enumerate(sectors):
+        columns = [
+            ReducedIndex(q // 2, s - q // 2 - q % 2, q % 2).to_flat(n)
+            for q in range(2 * n + 2)
+            if 0 <= s - q // 2 - q % 2 <= n
+        ]
+        e_s = embedding[:, columns]
+        rows = np.flatnonzero(np.any(e_s != 0, axis=1))
+        e_s = e_s[rows]
+        sandwich = (
+            (1.0 - params.c1 - params.c2) * np.eye(len(rows))
+            + params.c1 * p_even_full[np.ix_(rows, rows)]
+            + params.c2 * p_odd_full[np.ix_(rows, rows)]
+        )
+        oracle = e_s.conj().T @ sandwich @ e_s
+        deviation = max(deviation, float(np.max(np.abs(oracle - block))))
     return _result(f"n={n} block structure and eigenvalue pairing", deviation, 1e-9)

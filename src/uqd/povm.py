@@ -7,12 +7,12 @@ complement annihilates it: a click can only come from the other preparation
 and the measurement never misidentifies.  The inconclusive element is fixed
 by completeness.
 
-The dense operators serve the spectral analysis and small-n cross-checks.
-Per-pair quantities never need them: n copies of |b> plus one |a> have
-weight (1 + n |<a|b>|^2)/(n+1) in the symmetric subspace, so the success
-probabilities cost O(1) per qubit pair, and the leak into the wrong element
-is an explicit O(n) projection through the two-nonzeros-per-row factor of
-`tail_split_vectors`.
+The dense operators serve small-n cross-checks only; the spectral analysis
+builds its sector blocks from closed forms.  Per-pair quantities never need
+them either: n copies of |b> plus one |a> have weight (1 + n |<a|b>|^2)/(n+1)
+in the symmetric subspace, so the success probabilities cost O(1) per qubit
+pair, and the leak into the wrong element is an explicit O(n) projection
+through the two-nonzeros-per-row factor of `tail_split_vectors`.
 """
 
 from __future__ import annotations

@@ -1,12 +1,32 @@
 """Block structure and positivity of the inconclusive operator.
 
-Both conclusive elements commute with the total excitation number across the
-two program blocks and the tail, so in a basis adapted to the even-plus-tail
-symmetric pairing the inconclusive operator splits into one block per
-excitation sector.  Sectors 0..n give blocks of sizes 1, 3, ..., 2n+1 (the J
-series); sectors n+1..2n+1 mirror them (the K series).  Apart from a
-constant eigenvalue 1 in every block, eigenvalues come in pairs summing to
-2 - c1 - c2, and the extreme pair is shared by every block of size >= 3:
+Both conclusive elements commute with the total excitation number
+s = l + m + t across the two program blocks and the tail, so the
+inconclusive operator
+
+    pi0 = (1 - c1 - c2) I + c1 P_even + c2 P_odd
+
+splits into one block per sector.  Sectors 0..n give blocks of sizes
+1, 3, ..., 2n+1 (the J series, l = s); sectors n+1..2n+1 mirror them (the K
+series, l = 2n+1-s).  Ordered by q = 2l + t, the members (l, m, t) of a
+sector form a chain in which each coupling comes from one of the two
+nonzeros per row of `tail_split_vectors`, so every block is a real
+tridiagonal matrix with
+
+    diagonal at (l, m, t):    (1 - c1 - c2) + c1 a_E + c2 a_O,
+        a_E = (n+1-m)/(n+1) if t = 0, else (m+1)/(n+1),
+        a_O = (n+1-l)/(n+1) if t = 0, else (l+1)/(n+1);
+    (l, m, 0) -- (l, m-1, 1):  c1 sqrt(m (n+1-m)) / (n+1);
+    (l, m, 1) -- (l+1, m, 0):  c2 sqrt((l+1)(n-l)) / (n+1).
+
+`sector_blocks` builds these directly, so a spectrum costs O(n^4) and never
+forms a dense 2(n+1)^2 operator.  The dense route (`build_transform`,
+`transformed_pi0`, `extract_blocks`, `positivity_check`) is kept as the
+small-n cross-check.
+
+Apart from a constant eigenvalue 1 in every block, eigenvalues come in pairs
+summing to 2 - c1 - c2, and the extreme pair is shared by every block of
+size >= 3:
 
     lambda_pm = 1 - (c1 + c2)/2
                 +- sqrt(c1^2/4 + c2^2/4 + (n^2 - 2n - 1) c1 c2 / (2(n+1)^2)).
@@ -22,20 +42,22 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .povm import PovmParams, PovmTriple, build_povm
+from .povm import PovmParams, PovmTriple
 from .symmetric import ReducedOperator, _check_copies, reduced_dim, tail_split_vectors
 
-# Couplings below this magnitude count as structural zeros when blocks are
-# detected from the matrix alone.
+# Couplings below this magnitude count as structural zeros when the block
+# layout is confirmed from the matrix.
 COUPLING_TOL = 1e-9
 
-# All off-diagonal couplings carry a factor c2 (the even-tail projector is
-# diagonal in the transformed basis), so block detection needs c2 above the
-# coupling scale; below it the report falls back to the labeled grouping.
-_GENERIC_C2_MIN = 1e-6
+# The inconclusive operator counts as positive when its least eigenvalue is
+# at least -FEASIBLE_TOL.
+FEASIBLE_TOL = 1e-9
+
+# The sector blocks hold 2(n+1)(2n+1)(2n+3)/3 doubles, 1.4 GB at n = 400,
+# and their eigen-solve grows as n^4 (about 2 s at n = 200 on 2 cores).
+# Larger sizes are refused before anything is allocated.
+SECTOR_N_MAX = 400
 
 
 class BlockStructureError(RuntimeError):
@@ -135,10 +157,6 @@ class ExtractedBlock:
     members: tuple[ColumnLabel, ...]
 
 
-def _expected_sizes(n: int) -> list[int]:
-    return sorted([2 * l + 1 for l in range(n + 1)] * 2)
-
-
 def _canonical_order(members: list[tuple[int, ColumnLabel]], series: str):
     # Within a block: ascending tail-pair excitation for the J series,
     # descending for K, symmetric ("eta") column before its partner.
@@ -150,18 +168,31 @@ def _canonical_order(members: list[tuple[int, ColumnLabel]], series: str):
     return sorted(members, key=key)
 
 
+def _connected(adjacency: np.ndarray) -> bool:
+    """Whether every node of a coupling graph is reachable from the first."""
+    reached = np.zeros(len(adjacency), dtype=bool)
+    reached[0] = True
+    while True:
+        grown = reached | adjacency[reached].any(axis=0)
+        if np.array_equal(grown, reached):
+            return bool(reached.all())
+        reached = grown
+
+
 def extract_blocks(
     operator: ReducedOperator | np.ndarray,
     basis: TransformedBasis,
     coupling_tol: float = COUPLING_TOL,
 ) -> list[ExtractedBlock]:
-    """Find the diagonal blocks of the transformed inconclusive operator.
+    """Split the transformed inconclusive operator into its sector blocks.
 
-    Membership comes from the matrix alone: entries above `coupling_tol` are
-    edges of a graph whose connected components are the blocks.  The column
-    labels supply each block's canonical internal ordering, in which the
-    series is read off the sign of the (1,3)-corner coupling (negative for
-    J, positive for K) and cross-checked against the excitation sector.
+    Columns are grouped by their excitation sector l + m, and the matrix must
+    confirm the grouping: no entry above `coupling_tol` may couple two
+    sectors, and the couplings inside each sector must connect all of its
+    columns.  The column labels supply each block's canonical internal
+    ordering, in which the series is read off the sign of the (1,3)-corner
+    coupling (negative for J, positive for K) and cross-checked against the
+    excitation sector.
     """
     mat = operator.entries if isinstance(operator, ReducedOperator) else np.asarray(operator)
     if np.max(np.abs(mat.imag)) > 1e-10:
@@ -173,33 +204,27 @@ def extract_blocks(
     if real.shape != (reduced_dim(n), reduced_dim(n)):
         raise ValueError("operator and basis dimensions disagree")
 
-    adjacency = csr_matrix(np.abs(real) > coupling_tol)
-    count, assignment = connected_components(adjacency, directed=False)
-    groups = [np.flatnonzero(assignment == c) for c in range(count)]
-
-    if sorted(len(g) for g in groups) != _expected_sizes(n):
+    couples = np.abs(real) > coupling_tol
+    sectors = np.array([lab.excitation for lab in basis.labels])
+    crossing = np.argwhere(couples & (sectors[:, None] != sectors[None, :]))
+    if len(crossing):
+        i, j = crossing[0]
         raise BlockStructureError(
-            f"component sizes {sorted(len(g) for g in groups)} do not match "
-            f"the expected multiset {_expected_sizes(n)}"
+            f"columns {i} and {j} couple sectors {sectors[i]} and {sectors[j]}"
         )
 
     blocks: list[ExtractedBlock] = []
-    for group in groups:
-        members = [(int(i), basis.labels[i]) for i in group]
-        sectors = {lab.excitation for _, lab in members}
-        if len(sectors) != 1:
-            raise BlockStructureError(
-                f"a component mixes excitation sectors {sorted(sectors)}"
-            )
-        sector = sectors.pop()
+    for sector in range(2 * n + 2):
+        members = [(int(i), basis.labels[i]) for i in np.flatnonzero(sectors == sector)]
         series = "J" if sector <= n else "K"
         block_l = sector if series == "J" else 2 * n + 1 - sector
-        if len(group) != 2 * block_l + 1:
-            raise BlockStructureError(
-                f"sector {sector} has size {len(group)}, expected {2 * block_l + 1}"
-            )
         ordered = _canonical_order(members, series)
         idx = np.array([i for i, _ in ordered])
+        if not _connected(couples[np.ix_(idx, idx)]):
+            raise BlockStructureError(
+                f"the couplings of sector {sector} do not connect its "
+                f"{len(idx)} columns"
+            )
         sub = real[np.ix_(idx, idx)]
         if block_l >= 1:
             assigned = "J" if sub[0, 2] < 0 else "K"
@@ -212,7 +237,7 @@ def extract_blocks(
             ExtractedBlock(
                 label=series,
                 l=block_l,
-                size=len(group),
+                size=len(idx),
                 eigenvalues=np.linalg.eigvalsh(sub),
                 matrix=sub,
                 members=tuple(lab for _, lab in ordered),
@@ -223,31 +248,43 @@ def extract_blocks(
     return blocks
 
 
-def _blocks_by_label(real: np.ndarray, basis: TransformedBasis) -> list[ExtractedBlock]:
-    """Degenerate-parameter fallback: group by column labels alone."""
-    n = basis.n
-    by_sector: dict[int, list[tuple[int, ColumnLabel]]] = {}
-    for i, lab in enumerate(basis.labels):
-        by_sector.setdefault(lab.excitation, []).append((i, lab))
+def sector_blocks(n: int, params: PovmParams) -> tuple[np.ndarray, ...]:
+    """The real tridiagonal blocks of the inconclusive operator, one per
+    excitation sector s = 0..2n+1, members ordered by q = 2l + t.
+
+    Entries follow the closed forms in the module docstring; no dense
+    reduced-basis operator is formed.  n is capped at SECTOR_N_MAX.
+    """
+    _check_copies(n)
+    if n > SECTOR_N_MAX:
+        raise ValueError(f"sector blocks are capped at n <= {SECTOR_N_MAX}, got {n}")
+    c1, c2 = params.c1, params.c2
+    l, m, t = (axis.ravel() for axis in np.indices((n + 1, n + 1, 2)))
+    sector = l + m + t
+    order = np.lexsort((2 * l + t, sector))
+    l, m, t = l[order], m[order], t[order]
+    a_even = np.where(t == 0, n + 1 - m, m + 1)
+    a_odd = np.where(t == 0, n + 1 - l, l + 1)
+    diagonal = (1.0 - c1 - c2) + (c1 * a_even + c2 * a_odd) / (n + 1)
+    # link from each member to the next one in its sector: from t = 0 the
+    # tail takes an excitation from the even block (c1), from t = 1 it
+    # hands one to the odd block (c2)
+    link = np.where(
+        t == 0,
+        c1 * np.sqrt(m * (n + 1 - m)),
+        c2 * np.sqrt((l + 1) * (n - l)),
+    ) / (n + 1)
+
     blocks = []
-    for sector, members in by_sector.items():
-        series = "J" if sector <= n else "K"
-        block_l = sector if series == "J" else 2 * n + 1 - sector
-        ordered = _canonical_order(members, series)
-        idx = np.array([i for i, _ in ordered])
-        sub = real[np.ix_(idx, idx)]
-        blocks.append(
-            ExtractedBlock(
-                label=series,
-                l=block_l,
-                size=len(members),
-                eigenvalues=np.linalg.eigvalsh(sub),
-                matrix=sub,
-                members=tuple(lab for _, lab in ordered),
-            )
-        )
-    blocks.sort(key=lambda b: (b.label, b.l))
-    return blocks
+    start = 0
+    for size in np.bincount(sector):
+        block = np.zeros((size, size))
+        block.flat[:: size + 1] = diagonal[start : start + size]
+        block.flat[1 :: size + 1] = link[start : start + size - 1]
+        block.flat[size :: size + 1] = link[start : start + size - 1]
+        blocks.append(block)
+        start += size
+    return tuple(blocks)
 
 
 def closed_form_extreme_eigenvalues(n: int, params: PovmParams) -> tuple[float, float]:
@@ -275,26 +312,27 @@ class PositivityResult(NamedTuple):
 
 
 def positivity_check(triple: PovmTriple) -> PositivityResult:
-    """Compare the numerically least eigenvalue of the inconclusive operator
-    with its closed form; feasible means nonnegative up to 1e-9."""
+    """Dense small-n cross-check of positivity: the least eigenvalue of the
+    whole inconclusive operator next to its closed form; feasible means
+    nonnegative up to FEASIBLE_TOL.  `spectrum_report` reaches the same
+    verdict from the sector blocks."""
     eigenvalues = np.linalg.eigvalsh(triple.pi0.entries)
     numeric_min = float(eigenvalues[0])
     closed_min, _ = closed_form_extreme_eigenvalues(triple.n, triple.params)
-    return PositivityResult(numeric_min, closed_min, numeric_min >= -1e-9)
+    return PositivityResult(numeric_min, closed_min, numeric_min >= -FEASIBLE_TOL)
 
 
 def constraint_c2(c1: float, n: int) -> float:
     """Largest c2 keeping the inconclusive operator positive at given c1.
 
     Setting the least eigenvalue to zero and solving for c2 gives
-    (1 - c1) / (1 - (2n+1) c1 / (n+1)^2), clamped to [0, 1].
+    (1 - c1) / (1 - (2n+1) c1 / (n+1)^2), clamped to [0, 1].  The
+    denominator is positive because c1 <= 1 and (2n+1) < (n+1)^2.
     """
     _check_copies(n)
     if not 0.0 <= c1 <= 1.0 or math.isnan(c1):
         raise ValueError(f"c1 must lie in [0, 1], got {c1!r}")
     denominator = 1.0 - (2 * n + 1) * c1 / (n + 1) ** 2
-    if denominator <= 0.0:
-        raise ValueError(f"c1={c1} lies beyond the feasible arc for n={n}")
     return min(1.0, max(0.0, (1.0 - c1) / denominator))
 
 
@@ -341,31 +379,27 @@ class SpectrumReport:
 
 
 def spectrum_report(n: int, params: PovmParams) -> SpectrumReport:
-    """Assemble the transformed operator, its blocks, and the positivity
-    verdict into one report."""
-    triple = build_povm(n, params)
-    result = positivity_check(triple)
-    basis = build_transform(n)
-    transformed = transformed_pi0(triple, basis)
-    if params.c2 >= _GENERIC_C2_MIN:
-        extracted = extract_blocks(transformed, basis)
-    else:
-        extracted = _blocks_by_label(transformed.entries.real, basis)
-    blocks = tuple(
-        BlockSpectrum(
-            label=b.label,
-            l=b.l,
-            size=b.size,
-            eigenvalues=tuple(float(e) for e in b.eigenvalues),
-        )
-        for b in extracted
-    )
+    """Eigenvalues of every sector block and the positivity verdict.
+
+    Blocks come from `sector_blocks`; J_l (sector l) and K_l (sector
+    2n+1-l) have the same size and are diagonalized together.  The least
+    eigenvalue is the least over all blocks.
+    """
+    blocks = sector_blocks(n, params)
+    j_series, k_series = [], []
+    for l in range(n + 1):
+        j_eigs, k_eigs = np.linalg.eigvalsh(np.stack((blocks[l], blocks[2 * n + 1 - l])))
+        j_series.append(BlockSpectrum("J", l, 2 * l + 1, tuple(j_eigs.tolist())))
+        k_series.append(BlockSpectrum("K", l, 2 * l + 1, tuple(k_eigs.tolist())))
+    spectra = tuple(j_series + k_series)
+    numeric_min = min(b.eigenvalues[0] for b in spectra)
+    closed_min, _ = closed_form_extreme_eigenvalues(n, params)
     return SpectrumReport(
         n=n,
         c1=params.c1,
         c2=params.c2,
-        blocks=blocks,
-        min_eigenvalue=result.numeric_min,
-        closed_form_min=result.closed_form_min,
-        feasible=result.feasible,
+        blocks=spectra,
+        min_eigenvalue=numeric_min,
+        closed_form_min=closed_min,
+        feasible=numeric_min >= -FEASIBLE_TOL,
     )

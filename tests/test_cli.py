@@ -6,6 +6,8 @@ import pytest
 
 import uqd.cli
 from uqd.cli import main
+from uqd.povm import PovmParams
+from uqd.spectral import closed_form_extreme_eigenvalues
 from uqd.strategy import validity_range
 
 
@@ -159,9 +161,31 @@ def test_spectrum_idle_point(capsys):
     assert all(abs(e - 1.0) < 1e-12 for e in eigenvalues)
 
 
+def test_spectrum_large_n(capsys):
+    n = 60
+    code, out, _ = _run(
+        capsys, ["spectrum", "--n", str(n), "--c1", "0.5", "--c2", "0.7"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    sizes = sorted(b["size"] for b in payload["blocks"])
+    assert sizes == sorted([2 * l + 1 for l in range(n + 1)] * 2)
+    assert sum(len(b["eigenvalues"]) for b in payload["blocks"]) == 2 * (n + 1) ** 2
+    low, _ = closed_form_extreme_eigenvalues(n, PovmParams(0.5, 0.7))
+    assert abs(payload["min_eigenvalue"] - low) < 1e-9
+    assert payload["feasible"] is (low >= -1e-9)
+
+
 def test_spectrum_flag_validation(capsys):
     code = _run_usage_error(capsys, ["spectrum", "--n", "2", "--c1", "1.5", "--c2", "0"])
     assert code == 2
+
+
+def test_spectrum_beyond_cap_exits_1(capsys):
+    code, out, err = _run(capsys, ["spectrum", "--n", "100000", "--c1", "0.5", "--c2", "0.5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("uqd: ") and "capped" in err
 
 
 def test_memory_error_exits_1(capsys, monkeypatch):

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 
 from uqd.povm import PovmParams, build_povm
 from uqd.spectral import (
+    SECTOR_N_MAX,
     BlockStructureError,
     build_transform,
     closed_form_extreme_eigenvalues,
     constraint_c2,
     extract_blocks,
     positivity_check,
+    sector_blocks,
     spectrum_report,
     transformed_pi0,
 )
-from uqd.symmetric import reduced_dim
+from uqd.symmetric import ReducedIndex, reduced_dim
 
 scales = st.floats(min_value=0.0, max_value=1.0)
 generic_scales = st.floats(min_value=0.05, max_value=1.0)
@@ -248,7 +250,7 @@ def test_spectrum_report_serialization():
 
 
 def test_spectrum_report_degenerate_c2():
-    # no off-diagonal couplings to detect; grouping falls back to the labels
+    # c2 = 0 cuts every odd-block link; the sector blocks keep their sizes
     report = spectrum_report(2, PovmParams(0.3, 0.0))
     assert sorted(b.size for b in report.blocks) == [1, 1, 3, 3, 5, 5]
     assert report.feasible
@@ -264,3 +266,82 @@ def test_extract_blocks_rejects_broken_structure():
         extract_blocks(bad, basis)
     with pytest.raises(ValueError):
         extract_blocks(np.triu(np.ones_like(bad)), basis)
+
+
+@pytest.mark.parametrize("c2", [0.0, 1e-12])
+def test_extract_blocks_rejects_uncoupled_sectors(c2):
+    # every transformed-basis coupling carries c2, so without it no sector
+    # is connected and the layout cannot be confirmed from the matrix
+    basis = build_transform(3)
+    pi0 = transformed_pi0(build_povm(3, PovmParams(0.3, c2)), basis)
+    with pytest.raises(BlockStructureError, match="do not connect"):
+        extract_blocks(pi0, basis)
+
+
+def _sector_indices(n, s):
+    # flat indices of sector s, ordered by q = 2l + t
+    members = [ReducedIndex.from_flat(f, n) for f in range(reduced_dim(n))]
+    inside = [r for r in members if r.l + r.m + r.t == s]
+    return [r.to_flat(n) for r in sorted(inside, key=lambda r: 2 * r.l + r.t)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), scales, scales)
+@example(n=3, c1=0.0, c2=0.0)
+@example(n=4, c1=1.0, c2=1.0)
+@example(n=5, c1=0.0, c2=1.0)
+@example(n=2, c1=0.37, c2=0.0)
+def test_sector_blocks_match_dense_pi0(n, c1, c2):
+    params = PovmParams(c1, c2)
+    dense = build_povm(n, params).pi0.entries
+    blocks = sector_blocks(n, params)
+    assert len(blocks) == 2 * n + 2
+    rebuilt = np.zeros((reduced_dim(n), reduced_dim(n)))
+    for s, block in enumerate(blocks):
+        idx = _sector_indices(n, s)
+        assert block.dtype == np.float64
+        assert block.shape == (len(idx), len(idx)) == (2 * min(s, 2 * n + 1 - s) + 1,) * 2
+        assert np.array_equal(block, np.triu(np.tril(block, 1), -1))
+        np.testing.assert_allclose(block, dense[np.ix_(idx, idx)].real, rtol=0, atol=1e-14)
+        rebuilt[np.ix_(idx, idx)] = block
+    # the blocks are the whole operator: nothing couples two sectors
+    np.testing.assert_allclose(rebuilt, dense.real, rtol=0, atol=1e-14)
+    assert np.max(np.abs(dense.imag)) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("c1, c2", [(0.3, 0.4), (1.0, 1.0), (0.0, 0.7)])
+def test_report_spectra_match_extracted_blocks(n, c1, c2):
+    params = PovmParams(c1, c2)
+    basis = build_transform(n)
+    extracted = extract_blocks(transformed_pi0(build_povm(n, params), basis), basis)
+    dense = {(b.label, b.l): np.sort(b.eigenvalues) for b in extracted}
+    report = spectrum_report(n, params)
+    assert [(b.label, b.l) for b in report.blocks] == sorted(dense)
+    for block in report.blocks:
+        assert block.size == 2 * block.l + 1 == len(block.eigenvalues)
+        np.testing.assert_allclose(
+            block.eigenvalues, dense[(block.label, block.l)], rtol=0, atol=1e-12
+        )
+    least = min(float(eigs[0]) for eigs in dense.values())
+    assert abs(report.min_eigenvalue - least) < 1e-12
+
+
+def test_spectrum_report_at_large_n():
+    n, params = 100, PovmParams(0.5, 0.5)
+    report = spectrum_report(n, params)
+    assert sorted(b.size for b in report.blocks) == sorted(
+        [2 * l + 1 for l in range(n + 1)] * 2
+    )
+    assert sum(len(b.eigenvalues) for b in report.blocks) == 2 * (n + 1) ** 2
+    low, _ = closed_form_extreme_eigenvalues(n, params)
+    assert abs(report.min_eigenvalue - low) < 1e-9
+    assert report.closed_form_min == low
+    assert report.feasible
+
+
+def test_sector_blocks_refuse_sizes_beyond_the_cap():
+    with pytest.raises(ValueError, match="capped"):
+        sector_blocks(SECTOR_N_MAX + 1, PovmParams(0.5, 0.5))
+    with pytest.raises(ValueError):
+        sector_blocks(0, PovmParams(0.5, 0.5))
