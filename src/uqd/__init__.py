@@ -56,7 +56,6 @@ from .strategy import (
 from .fullspace import (
     FULL_N_MAX,
     FullState,
-    compare_reduced,
     run_verification,
     symmetric_projector_full,
     tensor_input,

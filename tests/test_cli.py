@@ -238,6 +238,15 @@ def test_verify_passes(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
+def test_verify_full_range(capsys):
+    code, out, _ = _run(capsys, ["verify", "--n-max", "5"])
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 56
+    assert sum(line.startswith("PASS ") for line in lines) == 55
+    assert lines[-1] == "all 55 checks passed"
+
+
 def test_verify_cap(capsys):
     assert _run_usage_error(capsys, ["verify", "--n-max", "9"]) == 2
     assert _run_usage_error(capsys, ["verify", "--n-max", "0"]) == 2

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import uqd.fullspace
 from uqd.fullspace import (
     FULL_N_MAX,
-    compare_reduced,
+    CheckResult,
+    apply_symmetric_projector,
     embed_reduced,
     even_positions,
     full_dim,
@@ -18,7 +22,9 @@ from uqd.fullspace import (
     symmetric_projector_full,
     tail_position,
     tensor_input,
+    tensor_inputs,
 )
+from uqd.povm import PovmParams
 from uqd.symmetric import BlochQubit, build_input_state, reduced_dim
 
 
@@ -54,6 +60,22 @@ def test_tensor_input_respects_cap():
         tensor_input(q, q, FULL_N_MAX + 1, 1)
 
 
+def test_tensor_inputs_rows_match_kron_chain():
+    angles = np.random.default_rng(7).uniform(0, [math.pi, 2 * math.pi], (8, 2))
+    qubits = [BlochQubit(theta, phi) for theta, phi in angles]
+    firsts, seconds = qubits[:4], qubits[4:]
+    n = 2
+    for which in (1, 2):
+        rows = tensor_inputs(firsts, seconds, n, which)
+        assert rows.shape == (4, full_dim(n))
+        for row, psi1, psi2 in zip(rows, firsts, seconds):
+            tail = psi1 if which == 1 else psi2
+            vec = np.ones(1)
+            for qubit in [psi1, psi2] * n + [tail]:
+                vec = np.kron(vec, qubit.amplitudes())
+            np.testing.assert_allclose(row, vec, atol=1e-15)
+
+
 def test_full_projector_rank_and_fixed_points():
     n = 1
     group = even_positions(n) + (tail_position(n),)
@@ -78,6 +100,52 @@ def test_full_projector_position_validation():
         symmetric_projector_full(2, (1, 1, 2))
     with pytest.raises(ValueError):
         symmetric_projector_full(2, (4, 5, 6))
+
+
+def _assert_apply_matches_dense(n, positions, rng):
+    shape = (3, 2, full_dim(n))
+    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    applied = apply_symmetric_projector(n, positions, states)
+    assert applied.shape == shape
+    dense = symmetric_projector_full(n, positions)
+    assert np.max(np.abs(applied - states @ dense.T)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_apply_matches_dense_projector_on_production_groups(n):
+    rng = np.random.default_rng(n)
+    tail = (tail_position(n),)
+    for positions in (even_positions(n) + tail, odd_positions(n) + tail):
+        _assert_apply_matches_dense(n, positions, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_apply_matches_dense_projector_on_any_group(data):
+    n = data.draw(st.integers(min_value=1, max_value=4), label="n")
+    positions = data.draw(
+        st.lists(
+            st.integers(min_value=1, max_value=2 * n + 1),
+            min_size=n + 1,
+            max_size=n + 1,
+            unique=True,
+        ).map(tuple),
+        label="positions",
+    )
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+    _assert_apply_matches_dense(n, positions, np.random.default_rng(seed))
+
+
+def test_apply_validation():
+    states = np.zeros((2, full_dim(2)))
+    for positions in ((1, 2), (1, 1, 2), (4, 5, 6)):
+        with pytest.raises(ValueError):
+            apply_symmetric_projector(2, positions, states)
+    with pytest.raises(ValueError):
+        apply_symmetric_projector(2, (1, 3, 5), np.zeros(full_dim(1)))
+    too_big = FULL_N_MAX + 1
+    with pytest.raises(ValueError):
+        apply_symmetric_projector(too_big, tuple(range(1, too_big + 2)), states)
 
 
 def test_reduced_embedding_is_isometric():
@@ -113,16 +181,73 @@ def test_program_copies_are_exchangeable():
         assert np.max(np.abs(swapped.amplitudes - state.amplitudes)) < 1e-12
 
 
-def test_compare_reduced():
-    assert compare_reduced(1.0, 1.0) == 0.0
-    assert compare_reduced(0.25, 0.5) == 0.25
-
-
 def test_verification_suite_passes_through_n3():
     results = run_verification(3)
     assert len(results) == 33
     failures = [r for r in results if not r.passed]
     assert failures == [], [f"{r.name}: {r.detail}" for r in failures]
+
+
+def test_verification_suite_passes_at_full_n_max():
+    results = run_verification(FULL_N_MAX)
+    assert len(results) == 11 * FULL_N_MAX
+    assert all(r.passed == (r.deviation < r.tol) for r in results)
+    failures = [r for r in results if not r.passed]
+    assert failures == [], [f"{r.name}: {r.detail}" for r in failures]
+
+
+def test_check_result_passes_strictly_below_tol():
+    cases = (
+        (0.0, 1e-12, True),
+        (5e-11, 1e-10, True),
+        (1e-10, 1e-10, False),
+        (math.inf, 1e-12, False),
+    )
+    for deviation, tol, passed in cases:
+        result = CheckResult("check", np.float64(deviation), tol)
+        assert type(result.deviation) is float and type(result.tol) is float
+        assert result.passed is passed
+        assert result.detail == f"max deviation {deviation:.3e} (tol {tol:g})"
+    pinned = CheckResult("check", 1.5e-16, 1e-12).detail
+    assert pinned == "max deviation 1.500e-16 (tol 1e-12)"
+
+
+def _failed_names(results):
+    return [r.name for r in results if not r.passed]
+
+
+def test_oracle_catches_perturbed_closed_form(monkeypatch):
+    original = uqd.fullspace.closed_form_expectation
+    monkeypatch.setattr(
+        uqd.fullspace,
+        "closed_form_expectation",
+        lambda *args: original(*args) + 1e-6,
+    )
+    assert _failed_names(run_verification(2)) == [
+        f"n={n} overlap full/reduced/closed agree" for n in (1, 2)
+    ]
+
+
+def test_oracle_catches_swapped_sector_scales(monkeypatch):
+    original = uqd.fullspace.sector_blocks
+    monkeypatch.setattr(
+        uqd.fullspace,
+        "sector_blocks",
+        lambda n, params: original(n, PovmParams(params.c2, params.c1)),
+    )
+    assert _failed_names(run_verification(2)) == [
+        f"n={n} block structure and eigenvalue pairing" for n in (1, 2)
+    ]
+
+
+def test_verification_builds_no_dense_operator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense full-space projector built")
+
+    monkeypatch.setattr(uqd.fullspace, "symmetric_projector_full", refuse)
+    results = run_verification(3)
+    assert len(results) == 33
+    assert _failed_names(results) == []
 
 
 def test_verification_rejects_large_n():
