@@ -2,17 +2,39 @@
 
 Scans a (c1, c2) grid, records the smallest eigenvalue of the inconclusive
 operator at each point, and reports how closely the numerical feasibility
-edge tracks the closed-form constraint curve.
+edge tracks the closed-form constraint curve.  Each point's minimum comes
+from `least_eigenvalues`, which certifies it with an inertia count over
+every sector block.
 """
 
 import argparse
 import csv
 import pathlib
+import sys
 
 import numpy as np
 
-from uqd.povm import PovmParams
-from uqd.spectral import constraint_c2, spectrum_report
+from uqd.spectral import constraint_c2, least_eigenvalues
+
+
+def _scan(args: argparse.Namespace) -> int:
+    values = np.linspace(0.0, 1.0, args.grid)
+    c1, c2 = (axis.ravel() for axis in np.meshgrid(values, values, indexing="ij"))
+    least, feasible = least_eigenvalues(args.n, c1, c2)
+    # the curve c2 = constraint_c2(c1) should sit exactly on the edge
+    curve = [constraint_c2(float(c), args.n) for c in values]
+    worst = float(np.max(np.abs(least_eigenvalues(args.n, values, curve)[0])))
+
+    path = pathlib.Path(args.out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["c1", "c2", "min_eigenvalue", "feasible"])
+        for a, b, low, ok in zip(c1, c2, least, feasible):
+            writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{low:.17g}", int(ok)])
+    print(f"wrote {path} ({args.grid}x{args.grid} grid, n={args.n})")
+    print(f"largest |min eigenvalue| along the constraint curve: {worst:.3e}")
+    return 0
 
 
 def main(argv=None):
@@ -23,34 +45,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.n < 1 or args.grid < 2:
         parser.error("need n >= 1 and grid >= 2")
-
-    path = pathlib.Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    values = np.linspace(0.0, 1.0, args.grid)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["c1", "c2", "min_eigenvalue", "feasible"])
-        for c1 in values:
-            for c2 in values:
-                report = spectrum_report(args.n, PovmParams(c1, c2))
-                writer.writerow(
-                    [
-                        f"{c1:.17g}",
-                        f"{c2:.17g}",
-                        f"{report.min_eigenvalue:.17g}",
-                        int(report.feasible),
-                    ]
-                )
-
-    # the curve c2 = constraint_c2(c1) should sit exactly on the edge
-    worst = 0.0
-    for c1 in values:
-        saturated = PovmParams(c1, constraint_c2(float(c1), args.n))
-        report = spectrum_report(args.n, saturated)
-        worst = max(worst, abs(report.min_eigenvalue))
-    print(f"wrote {path} ({args.grid}x{args.grid} grid, n={args.n})")
-    print(f"largest |min eigenvalue| along the constraint curve: {worst:.3e}")
-    return 0
+    try:
+        return _scan(args)
+    except (ValueError, RuntimeError) as exc:
+        print(f"feasibility_scan: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"feasibility_scan: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

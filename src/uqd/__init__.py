@@ -37,6 +37,7 @@ from .spectral import (
     closed_form_extreme_eigenvalues,
     constraint_c2,
     extract_blocks,
+    least_eigenvalues,
     positivity_check,
     sector_blocks,
     spectrum_report,

@@ -19,10 +19,11 @@ tridiagonal matrix with
     (l, m, 0) -- (l, m-1, 1):  c1 sqrt(m (n+1-m)) / (n+1);
     (l, m, 1) -- (l+1, m, 0):  c2 sqrt((l+1)(n-l)) / (n+1).
 
-`sector_blocks` builds these directly, so a spectrum costs O(n^4) and never
-forms a dense 2(n+1)^2 operator.  The dense route (`build_transform`,
-`transformed_pi0`, `extract_blocks`, `positivity_check`) is kept as the
-small-n cross-check.
+`spectrum_report` builds these one J_l/K_l pair at a time, so a spectrum
+costs O(n^4) time and O(n^2) memory and never forms a dense 2(n+1)^2
+operator; `sector_blocks` returns all of them at once.  The dense route
+(`build_transform`, `transformed_pi0`, `extract_blocks`, `positivity_check`)
+is kept as the small-n cross-check.
 
 Apart from a constant eigenvalue 1 in every block, eigenvalues come in pairs
 summing to 2 - c1 - c2, and the extreme pair is shared by every block of
@@ -33,6 +34,14 @@ size >= 3:
 
 lambda_minus >= 0 is exactly the condition for (c1, c2) to describe a valid
 measurement, and saturating it yields the constraint curve `constraint_c2`.
+
+`least_eigenvalues` answers only that question, for many scale pairs at
+once, by a certified route that does not rest on the formula.  It takes the
+numeric least eigenvalue of the 3x3 blocks J_1 and K_1, then counts, by an
+LDL^T (Sturm) inertia recurrence along every sector chain, the eigenvalues
+below that value minus FEASIBLE_TOL.  A count other than zero raises
+RuntimeError.  The cost is O(n^2) per pair with no eigen-solve beyond the
+3x3 blocks, against O(n^4) for a full spectrum.
 """
 
 from __future__ import annotations
@@ -54,9 +63,9 @@ COUPLING_TOL = 1e-9
 # at least -FEASIBLE_TOL.
 FEASIBLE_TOL = 1e-9
 
-# The sector blocks hold 2(n+1)(2n+1)(2n+3)/3 doubles, 1.4 GB at n = 400,
-# and their eigen-solve grows as n^4 (about 2 s at n = 200 on 2 cores).
-# Larger sizes are refused before anything is allocated.
+# All sector blocks together hold 2(n+1)(2n+1)(2n+3)/3 doubles, 1.4 GB at
+# n = 400, and a spectrum's eigen-solve grows as n^4 (about 2 s at n = 200 on
+# 2 cores).  Larger sizes are refused before anything is allocated.
 SECTOR_N_MAX = 400
 
 
@@ -248,43 +257,66 @@ def extract_blocks(
     return blocks
 
 
-def sector_blocks(n: int, params: PovmParams) -> tuple[np.ndarray, ...]:
-    """The real tridiagonal blocks of the inconclusive operator, one per
-    excitation sector s = 0..2n+1, members ordered by q = 2l + t.
-
-    Entries follow the closed forms in the module docstring; no dense
-    reduced-basis operator is formed.  n is capped at SECTOR_N_MAX.
-    """
+def _check_sector_size(n: int) -> None:
     _check_copies(n)
     if n > SECTOR_N_MAX:
         raise ValueError(f"sector blocks are capped at n <= {SECTOR_N_MAX}, got {n}")
-    c1, c2 = params.c1, params.c2
+
+
+def _members(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Members (l, m, t) of every sector s = 0..2n+1, sector after sector and
+    ordered by q = 2l + t within each, and the bounds of the sectors in that
+    order (sector s is members bounds[s]:bounds[s+1])."""
     l, m, t = (axis.ravel() for axis in np.indices((n + 1, n + 1, 2)))
     sector = l + m + t
     order = np.lexsort((2 * l + t, sector))
-    l, m, t = l[order], m[order], t[order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(sector))))
+    return l[order], m[order], t[order], bounds
+
+
+def _chain_entries(n: int, l, m, t, c1, c2):
+    """Diagonal entry at member (l, m, t) and its link to the next member of
+    the sector, from the closed forms in the module docstring.  Members and
+    scales broadcast against each other.  The last member of a sector links
+    to nothing and gets exactly 0, so the members in `_members` order form
+    one chain that falls apart into the sector blocks.
+    """
     a_even = np.where(t == 0, n + 1 - m, m + 1)
     a_odd = np.where(t == 0, n + 1 - l, l + 1)
     diagonal = (1.0 - c1 - c2) + (c1 * a_even + c2 * a_odd) / (n + 1)
-    # link from each member to the next one in its sector: from t = 0 the
-    # tail takes an excitation from the even block (c1), from t = 1 it
-    # hands one to the odd block (c2)
+    # from t = 0 the tail takes an excitation from the even block (c1),
+    # from t = 1 it hands one to the odd block (c2)
     link = np.where(
         t == 0,
         c1 * np.sqrt(m * (n + 1 - m)),
         c2 * np.sqrt((l + 1) * (n - l)),
     ) / (n + 1)
+    return diagonal, link
 
-    blocks = []
-    start = 0
-    for size in np.bincount(sector):
-        block = np.zeros((size, size))
-        block.flat[:: size + 1] = diagonal[start : start + size]
-        block.flat[1 :: size + 1] = link[start : start + size - 1]
-        block.flat[size :: size + 1] = link[start : start + size - 1]
-        blocks.append(block)
-        start += size
-    return tuple(blocks)
+
+def _sector_block(diagonal: np.ndarray, link: np.ndarray, bounds: np.ndarray, s: int) -> np.ndarray:
+    start, stop = bounds[s], bounds[s + 1]
+    size = stop - start
+    block = np.zeros((size, size))
+    block.flat[:: size + 1] = diagonal[start:stop]
+    block.flat[1 :: size + 1] = link[start : stop - 1]
+    block.flat[size :: size + 1] = link[start : stop - 1]
+    return block
+
+
+def sector_blocks(n: int, params: PovmParams) -> tuple[np.ndarray, ...]:
+    """The real tridiagonal blocks of the inconclusive operator, one per
+    excitation sector s = 0..2n+1, members ordered by q = 2l + t.
+
+    Entries follow the closed forms in the module docstring; no dense
+    reduced-basis operator is formed.  All 2n+2 blocks are held at once,
+    O(n^3) memory; `spectrum_report` builds one J_l/K_l pair at a time
+    and `least_eigenvalues` no block at all.  n is capped at SECTOR_N_MAX.
+    """
+    _check_sector_size(n)
+    *members, bounds = _members(n)
+    diagonal, link = _chain_entries(n, *members, params.c1, params.c2)
+    return tuple(_sector_block(diagonal, link, bounds, s) for s in range(2 * n + 2))
 
 
 def closed_form_extreme_eigenvalues(n: int, params: PovmParams) -> tuple[float, float]:
@@ -381,14 +413,18 @@ class SpectrumReport:
 def spectrum_report(n: int, params: PovmParams) -> SpectrumReport:
     """Eigenvalues of every sector block and the positivity verdict.
 
-    Blocks come from `sector_blocks`; J_l (sector l) and K_l (sector
-    2n+1-l) have the same size and are diagonalized together.  The least
-    eigenvalue is the least over all blocks.
+    J_l (sector l) and K_l (sector 2n+1-l) have the same size and are built
+    and diagonalized together, one pair at a time, so the blocks take
+    O(n^2) memory.  The least eigenvalue is the least over all blocks.
     """
-    blocks = sector_blocks(n, params)
+    _check_sector_size(n)
+    c1, c2 = params.c1, params.c2
+    *members, bounds = _members(n)
+    diagonal, link = _chain_entries(n, *members, c1, c2)
     j_series, k_series = [], []
     for l in range(n + 1):
-        j_eigs, k_eigs = np.linalg.eigvalsh(np.stack((blocks[l], blocks[2 * n + 1 - l])))
+        pair = [_sector_block(diagonal, link, bounds, s) for s in (l, 2 * n + 1 - l)]
+        j_eigs, k_eigs = np.linalg.eigvalsh(np.stack(pair))
         j_series.append(BlockSpectrum("J", l, 2 * l + 1, tuple(j_eigs.tolist())))
         k_series.append(BlockSpectrum("K", l, 2 * l + 1, tuple(k_eigs.tolist())))
     spectra = tuple(j_series + k_series)
@@ -396,10 +432,82 @@ def spectrum_report(n: int, params: PovmParams) -> SpectrumReport:
     closed_min, _ = closed_form_extreme_eigenvalues(n, params)
     return SpectrumReport(
         n=n,
-        c1=params.c1,
-        c2=params.c2,
+        c1=c1,
+        c2=c2,
         blocks=spectra,
         min_eigenvalue=numeric_min,
         closed_form_min=closed_min,
         feasible=numeric_min >= -FEASIBLE_TOL,
     )
+
+
+def _end_block_minimum(n: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of J_1 and K_1 (sectors 1 and 2n) at each scale
+    pair, from one eigvalsh over the stacked 3x3 blocks."""
+    *members, bounds = _members(n)
+    stack = np.zeros((2, len(c1), 3, 3))
+    for block, s in zip(stack, (1, 2 * n)):
+        for i in range(3):
+            member = (axis[bounds[s] + i] for axis in members)
+            block[:, i, i], link = _chain_entries(n, *member, c1, c2)
+            if i < 2:
+                block[:, i, i + 1] = block[:, i + 1, i] = link
+    return np.linalg.eigvalsh(stack)[..., 0].min(axis=0)
+
+
+def _count_below(n: int, c1: np.ndarray, c2: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below `shift` at each scale pair.
+
+    By Sylvester's law of inertia, the negative pivots of the LDL^T
+    factorization of a tridiagonal T - shift I count the eigenvalues of T
+    below the shift.  The recurrence d_k = (a_k - shift) - b_{k-1}^2 / d_{k-1}
+    runs along the chain of all sectors one member at a time, on vectors
+    over the scale pairs, so it holds O(1) vectors; a zero link ends each
+    sector.  An exact zero pivot is replaced by the smallest normal float.
+    """
+    below = np.zeros(len(shift), dtype=np.int64)
+    tiny = np.finfo(float).tiny
+    pivot, squared = 1.0, 0.0
+    for member in zip(*_members(n)[:3]):
+        diagonal, link = _chain_entries(n, *member, c1, c2)
+        pivot = (diagonal - shift) - squared / pivot
+        pivot[pivot == 0.0] = tiny
+        below += pivot < 0.0
+        squared = link**2
+    return below
+
+
+def least_eigenvalues(n: int, c1, c2) -> tuple[np.ndarray, np.ndarray]:
+    """Least eigenvalue of the inconclusive operator and the feasibility
+    verdict at many scale pairs (c1[i], c2[i]) at once.
+
+    The minimum is read numerically from the 3x3 blocks J_1 and K_1 and then
+    certified: an inertia count over every sector chain must find no
+    eigenvalue below it minus FEASIBLE_TOL, so the result does not rest on
+    the closed-form claim that J_1 and K_1 hold the extreme pair.  No
+    spectrum, dense operator or stored block is formed: the cost is
+    O(n^2) per pair, and the working memory a few vectors over the pairs.
+    Returns (least, feasible) as arrays; raises RuntimeError if the
+    certificate fails.
+    """
+    _check_sector_size(n)
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    if c1.ndim != 1 or c1.shape != c2.shape:
+        raise ValueError(
+            f"c1 and c2 must be 1-D arrays of equal length, got shapes {c1.shape} and {c2.shape}"
+        )
+    for name, scales in (("c1", c1), ("c2", c2)):
+        outside = ~((scales >= 0.0) & (scales <= 1.0))
+        if outside.any():
+            raise ValueError(f"{name} must lie in [0, 1], got {float(scales[outside][0])!r}")
+    least = _end_block_minimum(n, c1, c2)
+    below = _count_below(n, c1, c2, least - FEASIBLE_TOL)
+    if below.any():
+        i = int(np.flatnonzero(below)[0])
+        raise RuntimeError(
+            f"least-eigenvalue certificate failed at n={n}, (c1, c2) = "
+            f"({float(c1[i])!r}, {float(c2[i])!r}): {below[i]} eigenvalues lie more than "
+            f"{FEASIBLE_TOL:g} below the J_1/K_1 minimum {float(least[i])!r}"
+        )
+    return least, least >= -FEASIBLE_TOL

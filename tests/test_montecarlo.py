@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uqd.montecarlo
 from uqd.montecarlo import (
@@ -190,5 +192,22 @@ def test_results_do_not_depend_on_chunk_size(n, monkeypatch):
     default_stats = _projector_mean_stats(n, samples, 17)
     for rows in (1000, 4096, samples):
         monkeypatch.setattr(uqd.montecarlo, "_chunk_rows", lambda n, rows=rows: rows)
+        assert mc_average_success(n, params, 0.4, samples, 17) == default_report
+        assert _projector_mean_stats(n, samples, 17) == default_stats
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1000, max_value=3000),
+    st.integers(min_value=1, max_value=3500),
+)
+@example(n=50, samples=1000, rows=1)
+def test_drawn_chunk_sizes_do_not_change_results(n, samples, rows):
+    params = PovmParams(0.45, 0.55)
+    default_report = mc_average_success(n, params, 0.4, samples, 17)
+    default_stats = _projector_mean_stats(n, samples, 17)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uqd.montecarlo, "_chunk_rows", lambda n: rows)
         assert mc_average_success(n, params, 0.4, samples, 17) == default_report
         assert _projector_mean_stats(n, samples, 17) == default_stats

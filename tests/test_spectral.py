@@ -2,20 +2,26 @@
 
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uqd.spectral
 from uqd.povm import PovmParams, build_povm
 from uqd.spectral import (
+    FEASIBLE_TOL,
     SECTOR_N_MAX,
     BlockStructureError,
+    _count_below,
     build_transform,
     closed_form_extreme_eigenvalues,
     constraint_c2,
     extract_blocks,
+    least_eigenvalues,
     positivity_check,
     sector_blocks,
     spectrum_report,
@@ -345,3 +351,133 @@ def test_sector_blocks_refuse_sizes_beyond_the_cap():
         sector_blocks(SECTOR_N_MAX + 1, PovmParams(0.5, 0.5))
     with pytest.raises(ValueError):
         sector_blocks(0, PovmParams(0.5, 0.5))
+
+
+def test_spectrum_report_holds_one_block_pair_at_a_time():
+    # all 2n+2 blocks take 2(n+1)(2n+1)(2n+3)/3 doubles, 10.8 MB at n = 80
+    n, params = 80, PovmParams(0.5, 0.5)
+    all_blocks = 2 * (n + 1) * (2 * n + 1) * (2 * n + 3) / 3 * 8
+    tracemalloc.start()
+    try:
+        spectrum_report(n, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < all_blocks / 4
+
+
+scale_grids = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0]), scales), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=40), scale_grids, scale_grids)
+@example(n=1, c1s=[0.0, 1.0, 0.0, 1.0], c2s=[0.0, 0.0, 1.0, 1.0])
+@example(n=2, c1s=[0.6, 0.9], c2s=[0.6, 0.9])
+@example(n=40, c1s=[1.0, 0.5], c2s=[1.0, 0.5])
+def test_least_eigenvalues_match_spectrum_report(n, c1s, c2s):
+    grid = [(a, b) for a in c1s for b in c2s]
+    c1, c2 = (np.array(axis) for axis in zip(*grid))
+    least, feasible = least_eigenvalues(n, c1, c2)
+    assert least.shape == feasible.shape == (len(grid),)
+    assert least.dtype == np.float64 and feasible.dtype == np.bool_
+    for i, (a, b) in enumerate(grid):
+        report = spectrum_report(n, PovmParams(a, b))
+        assert abs(least[i] - report.min_eigenvalue) <= 1e-12
+        assert bool(feasible[i]) == report.feasible
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.lists(
+        st.tuples(scales, scales, st.floats(min_value=-1.5, max_value=2.5)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@example(n=3, points=[(0.0, 0.0, 0.5), (0.0, 0.0, 1.5), (1.0, 1.0, -0.9), (0.4, 0.0, 0.7)])
+def test_inertia_count_matches_eigvalsh(n, points):
+    c1, c2, shift = (np.array(axis) for axis in zip(*points))
+    counts = _count_below(n, c1, c2, shift)
+    assert counts.dtype == np.int64
+    for i, (a, b, sigma) in enumerate(points):
+        eigs = np.concatenate(
+            [np.linalg.eigvalsh(block) for block in sector_blocks(n, PovmParams(a, b))]
+        )
+        if np.min(np.abs(eigs - sigma)) < 1e-9:
+            continue  # a shift on an eigenvalue has no rounding-proof count
+        assert counts[i] == np.count_nonzero(eigs < sigma)
+
+
+def test_inertia_count_survives_a_zero_pivot():
+    # a shift equal to the first diagonal entry of J_1 makes its first pivot
+    # exactly zero, although the shift is no eigenvalue
+    n, params = 2, PovmParams(0.3, 0.6)
+    blocks = sector_blocks(n, params)
+    shift = blocks[1][0, 0]
+    eigs = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+    assert np.min(np.abs(eigs - shift)) > 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        count = _count_below(n, np.array([0.3]), np.array([0.6]), np.array([shift]))
+    assert count[0] == np.count_nonzero(eigs < shift)
+
+
+def test_inertia_count_sees_every_member_of_the_extreme_pair():
+    # lambda_n- has multiplicity 2n, spread over every block of size >= 3
+    n, c1, c2 = 6, np.array([0.7]), np.array([0.45])
+    low, high = closed_form_extreme_eigenvalues(n, PovmParams(0.7, 0.45))
+    assert _count_below(n, c1, c2, np.array([low + 1e-6]))[0] == 2 * n
+    assert _count_below(n, c1, c2, np.array([low - 1e-6]))[0] == 0
+    # every eigenvalue lies below the top of the pair except the unit ones
+    # and the 2n copies of lambda_n+
+    below_high = _count_below(n, c1, c2, np.array([high - 1e-6]))[0]
+    assert below_high == 2 * (n + 1) ** 2 - 2 * (n + 1) - 2 * n
+
+
+def test_least_eigenvalue_certificate_is_not_vacuous(monkeypatch):
+    c1, c2 = np.array([0.3, 0.8, 0.5]), np.array([0.4, 0.9, 0.0])
+    least, _ = least_eigenvalues(4, c1, c2)
+    original = uqd.spectral._end_block_minimum
+    monkeypatch.setattr(
+        uqd.spectral, "_end_block_minimum", lambda *args: original(*args) + 1e-6
+    )
+    with pytest.raises(RuntimeError, match="certificate failed at n=4"):
+        least_eigenvalues(4, c1, c2)
+    # a raise smaller than FEASIBLE_TOL stays inside the certified margin
+    monkeypatch.setattr(
+        uqd.spectral,
+        "_end_block_minimum",
+        lambda *args: original(*args) + FEASIBLE_TOL / 2,
+    )
+    raised, _ = least_eigenvalues(4, c1, c2)
+    np.testing.assert_array_equal(raised, least + FEASIBLE_TOL / 2)
+
+
+def test_least_eigenvalues_build_no_blocks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a block")
+
+    expected = least_eigenvalues(5, [0.2, 1.0], [0.8, 1.0])
+    for name in ("sector_blocks", "_sector_block", "spectrum_report"):
+        monkeypatch.setattr(uqd.spectral, name, refuse)
+    got = least_eigenvalues(5, [0.2, 1.0], [0.8, 1.0])
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], [True, False])
+
+
+def test_least_eigenvalues_validation():
+    with pytest.raises(ValueError, match="equal length"):
+        least_eigenvalues(2, [0.1, 0.2], [0.1])
+    with pytest.raises(ValueError, match="equal length"):
+        least_eigenvalues(2, 0.1, 0.1)
+    with pytest.raises(ValueError, match="c2 must lie in"):
+        least_eigenvalues(2, [0.1, 0.2], [0.3, 1.5])
+    with pytest.raises(ValueError, match="c1 must lie in"):
+        least_eigenvalues(2, [float("nan")], [0.3])
+    with pytest.raises(ValueError, match="capped"):
+        least_eigenvalues(SECTOR_N_MAX + 1, [0.5], [0.5])
+    with pytest.raises(ValueError):
+        least_eigenvalues(0, [0.5], [0.5])
