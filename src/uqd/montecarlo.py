@@ -1,12 +1,22 @@
 """Monte Carlo validation of the analytic averages.
 
-Program qubits are drawn uniformly from the Bloch sphere (cos(theta) uniform
-on [-1, 1], phi uniform on [0, 2 pi)) using a counter-based Philox stream.
+Program qubits are drawn uniformly from the Bloch sphere using a
+counter-based Philox stream.  One map turns two uniforms (u, v) into a qubit:
+cos(theta) = 2u - 1 is uniform on [-1, 1] exactly when cos^2(theta/2) = u is
+uniform on [0, 1], so the half-angle amplitudes are c = sqrt(u) and
+s = sqrt(1 - u), and phi = 2 pi v.  The sampled averages therefore need no
+arccos and no trigonometry of theta; `sample_qubit` goes through the same
+map and recovers theta = 2 atan2(s, c).
+
 Draws are taken chunk by chunk from one generator, row-major, so sample i
 consumes row i of the draw table whatever the chunk size: seeded results do
-not depend on it.  Per-pair success probabilities are averaged exactly (no
-outcome sampling) except in `simulate_outcomes`, which rolls individual
-measurement clicks.
+not depend on it.  Each chunk holds O(rows) temporaries whatever n is, so
+the chunk size is a constant.  Per-pair success probabilities are averaged
+exactly (no outcome sampling) except in `simulate_outcomes`, which rolls
+individual measurement clicks.  Every sampled pair also gets its leak into
+the wrong element by explicit projection, O(sqrt(n)) per pair; the report
+carries the worst one and the z-score of the mean against the analytic
+target.
 """
 
 from __future__ import annotations
@@ -17,7 +27,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .povm import PovmParams, batch_success_probabilities, symmetric_overlap_batch
+from .povm import (
+    PovmParams,
+    _pair_terms,
+    _symmetric_overlap,
+    batch_success_probabilities,
+)
 from .symmetric import BlochQubit, _check_copies
 from .strategy import DiscriminatorConfig, decide
 
@@ -31,49 +46,56 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _bloch_amplitudes(
+    u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, s, phi) of a Bloch-uniform qubit from two uniforms on [0, 1)."""
+    return np.sqrt(u), np.sqrt(1.0 - u), 2 * math.pi * v
+
+
 def sample_qubit(rng: np.random.Generator) -> BlochQubit:
     """One Bloch-uniform qubit."""
-    cos_theta = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2 * math.pi)
-    return BlochQubit(math.acos(cos_theta), phi)
+    c, s, phi = _bloch_amplitudes(*rng.random(2))
+    return BlochQubit(2 * math.atan2(s, c), phi)
 
 
-def _chunk_rows(n: int) -> int:
-    """Rows per chunk: 8192, cut so that (rows, n+2) temporaries stay near 8 MB."""
-    return min(8192, max(1, 2**20 // (n + 2)))
+# Rows per chunk.  A chunk's temporaries are O(rows) vectors at any n, so
+# 8192 rows keep them near a megabyte.
+_CHUNK_ROWS = 8192
 
 
-def _pair_angle_chunks(
-    n: int, seed: int, samples: int
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (rows, theta1, phi1, theta2, phi2) chunk by chunk.
+def _pair_amplitude_chunks(
+    seed: int, samples: int
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (rows, c1, s1, c2, s2, cos(phi1 - phi2)) chunk by chunk.
 
     Each chunk draws its (rows, 4) uniforms in turn from one generator, which
     reproduces the all-at-once table bit for bit: row i is sample i.
     """
     rng = make_rng(seed)
-    step = _chunk_rows(n)
-    for start in range(0, samples, step):
-        stop = min(start + step, samples)
+    for start in range(0, samples, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, samples)
         u = rng.random((stop - start, 4))
-        yield (
-            slice(start, stop),
-            np.arccos(2.0 * u[:, 0] - 1.0),
-            2 * math.pi * u[:, 1],
-            np.arccos(2.0 * u[:, 2] - 1.0),
-            2 * math.pi * u[:, 3],
-        )
+        c1, s1, phi1 = _bloch_amplitudes(u[:, 0], u[:, 1])
+        c2, s2, phi2 = _bloch_amplitudes(u[:, 2], u[:, 3])
+        yield slice(start, stop), c1, s1, c2, s2, np.cos(phi1 - phi2)
 
 
 @dataclass(frozen=True)
 class McReport:
-    """Sampled average with its standard error and the analytic target."""
+    """Sampled average with its standard error and the analytic target.
+
+    max_leak is the largest |leak| into the wrong element over all samples;
+    z_score is (mean_success - analytic) / std_error, None when std_error is 0.
+    """
 
     samples: int
     mean_success: float
     std_error: float
     analytic: float
     error_events: int
+    max_leak: float
+    z_score: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -82,6 +104,8 @@ class McReport:
             "std_error": self.std_error,
             "analytic": self.analytic,
             "error_events": self.error_events,
+            "max_leak": self.max_leak,
+            "z_score": self.z_score,
         }
 
 
@@ -107,18 +131,15 @@ def mc_average_success(
         raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")
     weighted = np.empty(samples)
     error_events = 0
-    for sl, theta1, phi1, theta2, phi2 in _pair_angle_chunks(n, seed, samples):
-        p1, p2, leak1, leak2 = batch_success_probabilities(
-            n, params, theta1, phi1, theta2, phi2
-        )
+    max_leak = 0.0
+    for sl, c1, s1, c2, s2, cos_delta in _pair_amplitude_chunks(seed, samples):
+        p1, p2, leak1, leak2 = _pair_terms(n, params, c1, s1, c2, s2, cos_delta)
         weighted[sl] = eta1 * p1 + (1.0 - eta1) * p2
         error_events += int(np.count_nonzero((leak1 > _LEAK_TOL) | (leak2 > _LEAK_TOL)))
+        max_leak = max(max_leak, float(np.max(np.maximum(np.abs(leak1), np.abs(leak2)))))
 
     mean = float(np.mean(weighted))
-    if samples > 1:
-        std_error = float(np.std(weighted, ddof=1) / math.sqrt(samples))
-    else:
-        std_error = 0.0
+    std_error = float(np.std(weighted, ddof=1) / math.sqrt(samples))
     analytic = (eta1 * params.c1 + (1.0 - eta1) * params.c2) * n / (2 * (n + 1))
     return McReport(
         samples=samples,
@@ -126,6 +147,8 @@ def mc_average_success(
         std_error=std_error,
         analytic=analytic,
         error_events=error_events,
+        max_leak=max_leak,
+        z_score=(mean - analytic) / std_error if std_error > 0 else None,
     )
 
 
@@ -134,8 +157,8 @@ def _projector_mean_stats(n: int, samples: int, seed: int) -> tuple[float, float
     _check_copies(n)
     _check_samples(samples)
     overlaps = np.empty(samples)
-    for sl, theta1, phi1, theta2, phi2 in _pair_angle_chunks(n, seed, samples):
-        overlaps[sl] = symmetric_overlap_batch(n, theta1, phi1, theta2, phi2)
+    for sl, c1, s1, c2, s2, cos_delta in _pair_amplitude_chunks(seed, samples):
+        overlaps[sl] = _symmetric_overlap(n, c1, s1, c2, s2, cos_delta)
     mean = float(np.mean(overlaps))
     std_error = float(np.std(overlaps, ddof=1) / math.sqrt(samples))
     return mean, std_error

@@ -11,8 +11,13 @@ The dense operators serve small-n cross-checks only; the spectral analysis
 builds its sector blocks from closed forms.  Per-pair quantities never need
 them either: n copies of |b> plus one |a> have weight (1 + n |<a|b>|^2)/(n+1)
 in the symmetric subspace, so the success probabilities cost O(1) per qubit
-pair, and the leak into the wrong element is an explicit O(n) projection
-through the two-nonzeros-per-row factor of `tail_split_vectors`.
+pair.  The leak into the wrong element is an explicit projection through the
+two-nonzeros-per-row factor of `tail_split_vectors`.  Its Dicke weights are
+filled by their ratio recurrence over a window of about 8.8 sqrt(n) terms
+around the mode, so it costs O(sqrt(n)) per pair and drops a binomial mass
+below 3e-17 (`_tail_split_sums`).  All per-pair routes share one kernel on
+half-angle amplitudes (`_pair_terms`); the public batch functions take Bloch
+angles and convert them once.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .symmetric import (
     _check_copies,
     build_input_state,
     build_symmetric_projector,
-    dicke_magnitudes_batch,
     reduced_dim,
 )
 
@@ -98,19 +102,41 @@ def success_probability(state: ReducedState, triple: PovmTriple, which: int) -> 
     return _expectation(state, triple.pi1 if which == 1 else triple.pi2)
 
 
-def _half_angles(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return np.cos(theta / 2), np.sin(theta / 2)
+def _amplitudes(
+    theta_a: np.ndarray, phi_a: np.ndarray, theta_b: np.ndarray, phi_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c_a, s_a, c_b, s_b, cos(phi_a - phi_b)) from Bloch angles, where
+    (c, s) = (|cos(theta/2)|, |sin(theta/2)|) are the half-angle amplitudes.
+
+    Outside [0, pi] one of cos(theta/2), sin(theta/2) is negative; up to a
+    global phase that is the same qubit with phi shifted by pi, so the sign
+    moves into cos(phi_a - phi_b) and the amplitudes stay nonnegative.
+    """
+    theta_a = np.atleast_1d(np.asarray(theta_a, dtype=float))
+    theta_b = np.atleast_1d(np.asarray(theta_b, dtype=float))
+    if not (np.isfinite(theta_a).all() and np.isfinite(theta_b).all()):
+        raise ValueError("theta must be finite")
+    ca, sa = np.cos(theta_a / 2), np.sin(theta_a / 2)
+    cb, sb = np.cos(theta_b / 2), np.sin(theta_b / 2)
+    cos_delta = np.cos(np.asarray(phi_a, dtype=float) - phi_b) * np.sign(ca * sa * cb * sb)
+    return np.abs(ca), np.abs(sa), np.abs(cb), np.abs(sb), cos_delta
 
 
 def _fidelity(
-    theta_a: np.ndarray, phi_a: np.ndarray, theta_b: np.ndarray, phi_b: np.ndarray
+    ca: np.ndarray, sa: np.ndarray, cb: np.ndarray, sb: np.ndarray, cos_delta
 ) -> np.ndarray:
     """|<a|b>|^2 = c_a^2 c_b^2 + s_a^2 s_b^2 + 2 c_a c_b s_a s_b cos(phi_a - phi_b)."""
-    ca, sa = _half_angles(theta_a)
-    cb, sb = _half_angles(theta_b)
-    cos_delta = np.cos(np.asarray(phi_a, dtype=float) - phi_b)
-    return (ca * cb) ** 2 + (sa * sb) ** 2 + 2 * ca * cb * sa * sb * cos_delta
+    cc = ca * cb
+    ss = sa * sb
+    return cc * cc + ss * ss + 2 * cc * ss * cos_delta
+
+
+def _symmetric_overlap(
+    n: int, ca: np.ndarray, sa: np.ndarray, cb: np.ndarray, sb: np.ndarray, cos_delta
+) -> np.ndarray:
+    """(1 + n F)/(n+1): the closed-form weight of n copies of one qubit plus
+    one copy of the other in the symmetric subspace."""
+    return (1.0 + n * _fidelity(ca, sa, cb, sb, cos_delta)) / (n + 1)
 
 
 def symmetric_overlap_batch(
@@ -129,8 +155,99 @@ def symmetric_overlap_batch(
     Hillery), so this costs O(1) per pair.
     """
     _check_copies(n)
-    fid = _fidelity(theta_tail, phi_tail, theta_block, phi_block)
-    return (1.0 + n * fid) / (n + 1)
+    return _symmetric_overlap(n, *_amplitudes(theta_tail, phi_tail, theta_block, phi_block))
+
+
+# Half-width of the summation window in standard units of sqrt(n): the
+# Binomial(n, p) mass farther than 4.4 sqrt(n) from its mean is below
+# 2 exp(-2 * 4.4^2) ~ 3.1e-17 (Hoeffding).
+_WINDOW = 4.4
+
+
+def _tail_split_sums(
+    n: int, c: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(stay, move, cross) of the block qubit (c, s) under the tail split.
+
+    With w_k = sqrt(C(n,k)) c^(n-k) s^k the Dicke magnitudes of n copies,
+
+        stay  = sum_k (n+1-k) w_k^2 / (n+1)
+        move  = sum_k (k+1) w_k^2 / (n+1)
+        cross = sum_{k>=1} sqrt(k (n+1-k)) w_k w_{k-1} / (n+1)
+
+    each divided by sum_k w_k^2.  The sums run in the frame of the larger
+    amplitude: with big = max(c, s) and small = min(c, s) the ratio
+    w_k / w_{k-1} = sqrt((n-k+1)/k) x has x = small/big <= 1, and the mirror
+    k -> n-k swaps stay and move and leaves cross alone.  Each row starts at
+    its mode with w = 1 and fills the window outward by that ratio, so no
+    value overflows and the common factor cancels in the division; no
+    (rows, n+1) table is built.
+
+    The window holds every k within 4.4 sqrt(n) of the row's mean n small^2
+    (one more step on each side covers the mode's offset from the mean), so
+    by Hoeffding the dropped mass is below 2 exp(-2 * 4.4^2) ~ 3e-17.  For
+    n <= 23 it covers all of 0..n.  Cost: O(sqrt(n)) per row, O(n) per call
+    for the ratio tables.
+    """
+    swap = s > c
+    big = np.maximum(c, s)
+    small = np.minimum(c, s)
+    x = small / big
+    # small^2 <= 1/2, so the mode floor((n+1) small^2) stays within 0..n.
+    mode = np.floor((n + 1) * small * small).astype(np.intp)
+
+    # The tables are indexed by k + pad so that steps past either end of
+    # 0..n read a zero ratio and leave w = 0 from there on.
+    half_width = math.ceil(_WINDOW * math.sqrt(n)) + 1
+    up_steps = min(half_width, n - int(mode.min(initial=n)))
+    down_steps = min(half_width, int(mode.max(initial=0)))
+    pad = max(up_steps, down_steps) + 1
+    k = np.arange(1, n + 1)
+    up = np.zeros(n + 1 + 2 * pad)  # w_k / w_{k-1} / x at k + pad
+    up[pad + 1 : pad + n + 1] = np.sqrt((n - k + 1) / k)
+    link = np.zeros_like(up)
+    link[pad + 1 : pad + n + 1] = np.sqrt(k * (n + 1 - k))
+
+    # mass, first moment relative to the mode, and cross, on O(rows) vectors
+    mass = np.ones_like(x)
+    offset = np.zeros_like(x)
+    cross = np.zeros_like(x)
+    at = mode + pad
+    w = np.ones_like(x)
+    for step in range(1, up_steps + 1):
+        idx = at + step
+        next_w = w * up[idx] * x
+        sq = next_w * next_w
+        mass += sq
+        offset += step * sq
+        cross += link[idx] * next_w * w
+        w = next_w
+    if down_steps:
+        # Only rows with mode >= 1 step down, and they have small >= 1/sqrt(n+1).
+        inv_x = np.divide(big, small, out=np.zeros_like(big), where=mode > 0)
+        down = np.zeros_like(up)  # w_{k-1} / w_k * x at k + pad
+        down[pad + 1 : pad + n + 1] = 1.0 / up[pad + 1 : pad + n + 1]
+        w = np.ones_like(x)
+        for step in range(down_steps):
+            idx = at - step
+            next_w = w * down[idx] * inv_x
+            sq = next_w * next_w
+            mass += sq
+            offset -= (step + 1) * sq
+            cross += link[idx] * next_w * w
+            w = next_w
+
+    moment = mode * mass + offset  # sum_k k w_k^2 in the frame
+    moment = np.where(swap, n * mass - moment, moment)
+    scale = (n + 1) * mass
+    return ((n + 1) * mass - moment) / scale, (mass + moment) / scale, cross / scale
+
+
+def _projected_overlap(
+    n: int, cb: np.ndarray, sb: np.ndarray, ct: np.ndarray, st: np.ndarray, cos_delta
+) -> np.ndarray:
+    stay, move, cross = _tail_split_sums(n, cb, sb)
+    return ct * ct * stay + st * st * move + 2 * ct * st * cos_delta * cross
 
 
 def projected_overlap_batch(
@@ -146,26 +263,18 @@ def projected_overlap_batch(
     `tail_split_vectors`: row k has sqrt((n+1-k)/(n+1)) on |e_k>|0> and
     sqrt(k/(n+1)) on |e_{k-1}>|1>.  With w_k the Dicke magnitudes of the
     block qubit a and Delta = phi_tail - phi_block the global phases drop out,
-    leaving O(n) real arithmetic per pair:
+    leaving real arithmetic per pair:
 
-        sum_k (n+1-k) w_k^2 c^2 / (n+1) + sum_k (k+1) w_k^2 s^2 / (n+1)
-      + 2 c s cos(Delta) sum_{k>=1} sqrt(k (n+1-k)) w_k w_{k-1} / (n+1)
+        c^2 stay + s^2 move + 2 c s cos(Delta) cross
 
-    where (c, s) are the tail's half-angle amplitudes.  It shares no formula
-    with the closed form, which makes it the independent route the leak
-    estimate relies on.
+    where (c, s) are the tail's half-angle amplitudes and the three sums are
+    those of `_tail_split_sums`, O(sqrt(n)) per pair within a dropped mass
+    below 3e-17.  It shares no formula with the closed form, which makes it
+    the independent route the leak estimate relies on.
     """
     _check_copies(n)
-    w = dicke_magnitudes_batch(n, theta_block)
-    ct, st = _half_angles(theta_tail)
-    cos_delta = np.cos(np.asarray(phi_tail, dtype=float) - phi_block)
-    k = np.arange(n + 1)
-    w2 = w * w
-    stay = w2 @ ((n + 1 - k) / (n + 1))
-    move = w2 @ ((k + 1) / (n + 1))
-    kk = k[1:]
-    cross = (w[:, 1:] * w[:, :-1]) @ (np.sqrt(kk * (n + 1 - kk)) / (n + 1))
-    return ct**2 * stay + st**2 * move + 2 * ct * st * cos_delta * cross
+    ct, st, cb, sb, cos_delta = _amplitudes(theta_tail, phi_tail, theta_block, phi_block)
+    return _projected_overlap(n, cb, sb, ct, st, cos_delta)
 
 
 def closed_form_expectation(
@@ -186,6 +295,31 @@ def closed_form_expectation(
     )
 
 
+def _pair_terms(
+    n: int,
+    params: PovmParams,
+    c1: np.ndarray,
+    s1: np.ndarray,
+    c2: np.ndarray,
+    s2: np.ndarray,
+    cos_delta,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p1, p2, leak1, leak2) from half-angle amplitudes and cos(phi1 - phi2).
+
+    The fidelity is computed once; both leaks come from one explicit
+    projection over the stacked 2 * rows block qubits, each with the same
+    qubit on the tail (so the relative phase is 0).
+    """
+    miss = n * (1.0 - _fidelity(c1, s1, c2, s2, cos_delta)) / (n + 1)
+    c = np.concatenate([c1, c2])
+    s = np.concatenate([s1, s2])
+    kept = _projected_overlap(n, c, s, c, s, 1.0)
+    rows = len(c1)
+    leak1 = params.c2 * (1.0 - kept[:rows])
+    leak2 = params.c1 * (1.0 - kept[rows:])
+    return params.c1 * miss, params.c2 * miss, leak1, leak2
+
+
 def batch_success_probabilities(
     n: int,
     params: PovmParams,
@@ -199,17 +333,12 @@ def batch_success_probabilities(
     Returns (p1, p2, leak1, leak2).  The successes are closed form, O(1) per
     pair: p_i = c_i n (1 - F)/(n+1) with F = |<psi1|psi2>|^2.  leak_i is the
     probability that the wrong conclusive element fires on input i, whose
-    projected block and tail hold the same qubit; it is computed by
-    `projected_overlap_batch` at O(n) per pair and should vanish to float
-    precision.
+    projected block and tail hold the same qubit; it is computed by the
+    explicit projection of `projected_overlap_batch` at O(sqrt(n)) per pair
+    and should vanish to float precision.
     """
     _check_copies(n)
-    miss = n * (1.0 - _fidelity(theta1, phi1, theta2, phi2)) / (n + 1)
-    p1 = params.c1 * miss
-    p2 = params.c2 * miss
-    leak1 = params.c2 * (1.0 - projected_overlap_batch(n, theta1, phi1, theta1, phi1))
-    leak2 = params.c1 * (1.0 - projected_overlap_batch(n, theta2, phi2, theta2, phi2))
-    return p1, p2, leak1, leak2
+    return _pair_terms(n, params, *_amplitudes(theta1, phi1, theta2, phi2))
 
 
 def no_error_check(triple: PovmTriple, psi1: BlochQubit, psi2: BlochQubit) -> float:

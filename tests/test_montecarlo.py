@@ -4,6 +4,7 @@ Statistical assertions use fixed seeds and 4-standard-error gates, so they
 are reproducible rather than flaky.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ import uqd.montecarlo
 from uqd.montecarlo import (
     McReport,
     OutcomeCounts,
+    _bloch_amplitudes,
     _projector_mean_stats,
     make_rng,
     mc_average_success,
@@ -22,7 +24,7 @@ from uqd.montecarlo import (
     sample_qubit,
     simulate_outcomes,
 )
-from uqd.povm import PovmParams
+from uqd.povm import PovmParams, batch_success_probabilities
 from uqd.strategy import DiscriminatorConfig
 from uqd.symmetric import BlochQubit
 
@@ -99,8 +101,21 @@ def test_report_serialization():
         "std_error",
         "analytic",
         "error_events",
+        "max_leak",
+        "z_score",
     }
     assert isinstance(report, McReport)
+    assert 0.0 <= data["max_leak"] < 1e-12
+    assert data["z_score"] == pytest.approx(
+        (report.mean_success - report.analytic) / report.std_error, rel=1e-15
+    )
+    assert json.loads(json.dumps(data)) == data
+
+
+def test_z_score_is_null_without_spread():
+    report = mc_average_success(2, PovmParams(0.0, 0.0), 0.3, 2000, 9)
+    assert report.z_score is None
+    assert json.loads(json.dumps(report.to_dict()))["z_score"] is None
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -191,7 +206,7 @@ def test_results_do_not_depend_on_chunk_size(n, monkeypatch):
     default_report = mc_average_success(n, params, 0.4, samples, 17)
     default_stats = _projector_mean_stats(n, samples, 17)
     for rows in (1000, 4096, samples):
-        monkeypatch.setattr(uqd.montecarlo, "_chunk_rows", lambda n, rows=rows: rows)
+        monkeypatch.setattr(uqd.montecarlo, "_CHUNK_ROWS", rows)
         assert mc_average_success(n, params, 0.4, samples, 17) == default_report
         assert _projector_mean_stats(n, samples, 17) == default_stats
 
@@ -208,6 +223,50 @@ def test_drawn_chunk_sizes_do_not_change_results(n, samples, rows):
     default_report = mc_average_success(n, params, 0.4, samples, 17)
     default_stats = _projector_mean_stats(n, samples, 17)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(uqd.montecarlo, "_chunk_rows", lambda n: rows)
+        patch.setattr(uqd.montecarlo, "_CHUNK_ROWS", rows)
         assert mc_average_success(n, params, 0.4, samples, 17) == default_report
         assert _projector_mean_stats(n, samples, 17) == default_stats
+
+
+def test_bloch_amplitudes_match_the_arccos_route():
+    # cos(theta) = 2u - 1 gives cos^2(theta/2) = u: the square roots are the
+    # half-angle amplitudes, the poles u = 0 and u -> 1 included
+    u = np.concatenate([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], np.linspace(0, 1, 1001)[:-1]])
+    c, s, phi = _bloch_amplitudes(u, u)
+    theta = np.arccos(2.0 * u - 1.0)
+    assert np.max(np.abs(c - np.cos(theta / 2))) < 1e-15
+    assert np.max(np.abs(s - np.sin(theta / 2))) < 1e-15
+    assert np.array_equal(phi, 2 * math.pi * u)
+    assert c[0] == 0.0 and s[0] == 1.0
+
+
+def test_sample_qubit_uses_the_chunk_map():
+    u = make_rng(8).random(2)
+    c, s, phi = _bloch_amplitudes(*u)
+    q = sample_qubit(make_rng(8))
+    assert q.theta == 2 * math.atan2(s, c)
+    assert q.phi == phi
+    assert abs(math.cos(q.theta / 2) - c) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 8, 30])
+def test_average_matches_the_angle_route(n):
+    # the same draws through arccos angles and the public batch API
+    samples, seed, eta1 = 5000, 23, 0.4
+    params = PovmParams(0.45, 0.55)
+    report = mc_average_success(n, params, eta1, samples, seed)
+    u = make_rng(seed).random((samples, 4))
+    p1, p2, leak1, leak2 = batch_success_probabilities(
+        n,
+        params,
+        np.arccos(2.0 * u[:, 0] - 1.0),
+        2 * math.pi * u[:, 1],
+        np.arccos(2.0 * u[:, 2] - 1.0),
+        2 * math.pi * u[:, 3],
+    )
+    weighted = eta1 * p1 + (1.0 - eta1) * p2
+    assert abs(report.mean_success - weighted.mean()) < 1e-12
+    assert abs(report.std_error - weighted.std(ddof=1) / math.sqrt(samples)) < 1e-12
+    worst = max(np.max(np.abs(leak1)), np.max(np.abs(leak2)))
+    assert abs(report.max_leak - worst) < 1e-12
+    assert report.error_events == 0

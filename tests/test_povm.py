@@ -1,12 +1,22 @@
 """Measurement triple construction and the two success-probability routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uqd.povm
+from uqd.fullspace import (
+    apply_symmetric_projector,
+    even_positions,
+    odd_positions,
+    tail_position,
+    tensor_inputs,
+)
+from uqd.montecarlo import _LEAK_TOL, mc_average_success
 from uqd.povm import (
     PovmParams,
     batch_success_probabilities,
@@ -22,6 +32,7 @@ from uqd.symmetric import (
     BlochQubit,
     build_input_state,
     dicke_amplitudes,
+    dicke_magnitudes_batch,
     reduced_dim,
     tail_split_vectors,
 )
@@ -175,24 +186,31 @@ def _random_pairs(rng, count):
     return theta1, phi1, theta2, phi2
 
 
+# edge pairs (theta1, phi1, theta2, phi2): poles, identical qubits, antipodal
+# qubits
+EDGE_PAIRS = [
+    (0.0, 0.0, math.pi, 0.0),
+    (math.pi, 1.3, 0.0, 4.0),
+    (0.0, 0.0, 0.0, 2.0),
+    (math.pi, 0.5, math.pi, 5.5),
+    (1.1, 0.7, 1.1, 0.7),
+    (0.4, 2.0, math.pi - 0.4, 2.0 + math.pi),
+    (math.pi / 2, 0.0, math.pi / 2, math.pi),
+]
+
+
+def _with_edges(theta1, phi1, theta2, phi2):
+    return tuple(
+        np.concatenate([col, [edge[i] for edge in EDGE_PAIRS]])
+        for i, col in enumerate((theta1, phi1, theta2, phi2))
+    )
+
+
 def test_batch_matches_scalar_route():
     rng = np.random.default_rng(7)
     params = PovmParams(0.35, 0.45)
     theta1, phi1, theta2, phi2 = _random_pairs(rng, 20)
-    # edge pairs: poles, identical qubits, antipodal qubits
-    edges = [
-        (0.0, 0.0, math.pi, 0.0),
-        (math.pi, 1.3, 0.0, 4.0),
-        (0.0, 0.0, 0.0, 2.0),
-        (math.pi, 0.5, math.pi, 5.5),
-        (1.1, 0.7, 1.1, 0.7),
-        (0.4, 2.0, math.pi - 0.4, 2.0 + math.pi),
-        (math.pi / 2, 0.0, math.pi / 2, math.pi),
-    ]
-    theta1, phi1, theta2, phi2 = (
-        np.concatenate([col, [edge[i] for edge in edges]])
-        for i, col in enumerate((theta1, phi1, theta2, phi2))
-    )
+    theta1, phi1, theta2, phi2 = _with_edges(theta1, phi1, theta2, phi2)
     for n in (1, 2, 5, 8):
         triple = build_povm(n, params)
         p1, p2, leak1, leak2 = batch_success_probabilities(
@@ -213,7 +231,7 @@ def test_batch_matches_scalar_route():
 
 @pytest.mark.parametrize("n", [1000, 5000])
 def test_batch_closed_form_and_leak_at_large_n(n):
-    # the range where Dicke magnitudes switch to log space
+    # the range where the summation window no longer covers 0..n
     rng = np.random.default_rng(n)
     params = PovmParams(0.5, 0.7)
     theta1, phi1, theta2, phi2 = _random_pairs(rng, 200)
@@ -232,9 +250,10 @@ def test_batch_closed_form_and_leak_at_large_n(n):
     assert np.max(np.abs(leak2)) < 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 60])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 60, 500, 5000, 100_000])
 def test_projection_of_mismatched_qubits_matches_closed_form(n):
-    # block and tail hold different qubits, so the overlap is not trivially 1
+    # block and tail hold different qubits, so the overlap is not trivially 1;
+    # the summation window drops less than 3e-17, far inside 1e-13
     rng = np.random.default_rng(100 + n)
     theta_b, phi_b, theta_t, phi_t = _random_pairs(rng, 50)
     projected = projected_overlap_batch(n, theta_b, phi_b, theta_t, phi_t)
@@ -243,7 +262,7 @@ def test_projection_of_mismatched_qubits_matches_closed_form(n):
         + np.cos(theta_b) * np.cos(theta_t)
         + np.sin(theta_b) * np.sin(theta_t) * np.cos(phi_b - phi_t)
     )
-    assert np.max(np.abs(projected - (1 + n * fid) / (n + 1))) < 1e-12
+    assert np.max(np.abs(projected - (1 + n * fid) / (n + 1))) < 1e-13
     assert np.max(np.abs(fid - 1)) > 0.1
     if n <= 8:
         # the same projection through the dense tail_split_vectors factor
@@ -253,6 +272,145 @@ def test_projection_of_mismatched_qubits_matches_closed_form(n):
             tail = BlochQubit(theta_t[i], phi_t[i]).amplitudes()
             dense = np.linalg.norm(v @ np.kron(block, tail)) ** 2
             assert abs(projected[i] - dense) < 1e-12
+
+
+def _full_table_overlap(n, theta_b, phi_b, theta_t, phi_t):
+    """The projection summed over every k from a (rows, n+1) table of Dicke
+    magnitudes: the O(n) route the windowed recurrence replaced."""
+    w = dicke_magnitudes_batch(n, theta_b)
+    ct, st = np.cos(theta_t / 2), np.sin(theta_t / 2)
+    cos_delta = np.cos(phi_t - phi_b)
+    k = np.arange(n + 1)
+    w2 = w * w
+    stay = w2 @ ((n + 1 - k) / (n + 1))
+    move = w2 @ ((k + 1) / (n + 1))
+    kk = k[1:]
+    cross = (w[:, 1:] * w[:, :-1]) @ (np.sqrt(kk * (n + 1 - kk)) / (n + 1))
+    return ct**2 * stay + st**2 * move + 2 * ct * st * cos_delta * cross
+
+
+@pytest.mark.parametrize(
+    "n,tol",
+    [(1, 1e-12), (2, 1e-12), (5, 1e-12), (8, 1e-12), (60, 1e-12), (500, 1e-12),
+     (1000, 1e-11), (5000, 1e-11)],
+)
+def test_projection_matches_full_table_sum(n, tol):
+    # mismatched block and tail qubits plus the edge pairs; beyond n = 60 the
+    # reference's log-space magnitudes are themselves ~1e-12 off
+    rng = np.random.default_rng(300 + n)
+    theta_b, phi_b, theta_t, phi_t = _with_edges(*_random_pairs(rng, 60))
+    projected = projected_overlap_batch(n, theta_b, phi_b, theta_t, phi_t)
+    reference = _full_table_overlap(n, theta_b, phi_b, theta_t, phi_t)
+    assert np.max(np.abs(projected - reference)) < tol
+    # and the same-qubit leaks
+    kept = projected_overlap_batch(n, theta_b, phi_b, theta_b, phi_b)
+    assert np.max(np.abs(kept - _full_table_overlap(n, theta_b, phi_b, theta_b, phi_b))) < tol
+
+
+@pytest.mark.parametrize("n", [100, 5000])
+def test_window_drops_nothing_visible(n, monkeypatch):
+    # the same recurrence over all of 0..n differs only by the dropped mass,
+    # below 3e-17; theta = pi/2 gives the widest binomial
+    rng = np.random.default_rng(700 + n)
+    theta_b, phi_b, theta_t, phi_t = _with_edges(*_random_pairs(rng, 40))
+    windowed = projected_overlap_batch(n, theta_b, phi_b, theta_t, phi_t)
+    monkeypatch.setattr(uqd.povm, "_WINDOW", float(n))
+    full = projected_overlap_batch(n, theta_b, phi_b, theta_t, phi_t)
+    assert np.max(np.abs(windowed - full)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_leak_matches_full_space_oracle(n):
+    # the registers built qubit by qubit in the 2^(2n+1)-dimensional space
+    rng = np.random.default_rng(500 + n)
+    theta1, phi1, theta2, phi2 = _with_edges(*_random_pairs(rng, 40))
+    params = PovmParams(0.8, 0.65)
+    _, _, leak1, leak2 = batch_success_probabilities(
+        n, params, theta1, phi1, theta2, phi2
+    )
+    psi1 = [BlochQubit(t, p) for t, p in zip(theta1, phi1)]
+    psi2 = [BlochQubit(t, p) for t, p in zip(theta2, phi2)]
+    odd_tail = odd_positions(n) + (tail_position(n),)
+    even_tail = even_positions(n) + (tail_position(n),)
+    for which, group, scale, leak in ((1, odd_tail, params.c2, leak1), (2, even_tail, params.c1, leak2)):
+        states = tensor_inputs(psi1, psi2, n, which)
+        kept = np.real(np.sum(states.conj() * apply_symmetric_projector(n, group, states), axis=1))
+        assert np.max(np.abs(leak - scale * (1.0 - kept))) < 1e-13
+    # mismatched block and tail: input 1 under the even-block projector
+    states = tensor_inputs(psi1, psi2, n, 1)
+    kept = np.real(np.sum(states.conj() * apply_symmetric_projector(n, even_tail, states), axis=1))
+    projected = projected_overlap_batch(n, theta2, phi2, theta1, phi1)
+    assert np.max(np.abs(projected - kept)) < 1e-13
+
+
+def test_leak_at_huge_n_builds_no_magnitude_table():
+    n, pairs = 100_000, 100
+    rng = np.random.default_rng(11)
+    theta1, phi1, theta2, phi2 = _with_edges(*_random_pairs(rng, pairs))
+    tracemalloc.start()
+    try:
+        _, _, leak1, leak2 = batch_success_probabilities(
+            n, PovmParams(1.0, 1.0), theta1, phi1, theta2, phi2
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(leak1)) < _LEAK_TOL
+    assert np.max(np.abs(leak2)) < _LEAK_TOL
+    # one (rows, n+1) float table would take 80 MB; the ratio tables are O(n)
+    table_bytes = len(theta1) * (n + 1) * 8
+    assert peak < table_bytes / 8
+
+
+def test_leak_check_sees_a_dropped_cross_term(monkeypatch):
+    # without the coherence between |e_k>|0> and |e_{k-1}>|1> the projection
+    # is wrong, and both the batch leaks and the Monte Carlo report show it
+    real_sums = uqd.povm._tail_split_sums
+
+    def no_cross(n, c, s):
+        stay, move, cross = real_sums(n, c, s)
+        return stay, move, np.zeros_like(cross)
+
+    monkeypatch.setattr(uqd.povm, "_tail_split_sums", no_cross)
+    rng = np.random.default_rng(5)
+    _, _, leak1, leak2 = batch_success_probabilities(
+        3, PovmParams(1.0, 1.0), *_random_pairs(rng, 50)
+    )
+    assert np.max(leak1) > 1e-2 and np.max(leak2) > 1e-2
+    report = mc_average_success(3, PovmParams(0.5, 0.5), 0.5, 2000, 1)
+    assert report.error_events > 1000
+    assert report.max_leak > 1e-2
+
+
+def test_empty_batch():
+    for out in batch_success_probabilities(3, PovmParams(0.5, 0.5), [], [], [], []):
+        assert out.shape == (0,)
+    assert projected_overlap_batch(3, [], [], [], []).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_angles_outside_zero_pi(n):
+    # theta beyond [0, pi] is the same qubit with phi shifted by pi; both
+    # routes must agree with the matching in-range angles
+    theta_b = np.array([-0.5, 3.5, 4.0, 2 * math.pi, 5.0, 0.7])
+    phi_b = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    theta_t = np.array([1.0, 2.0, -1.0, 0.5, 7.0, 4.5])
+    phi_t = np.array([1.0, 0.0, 2.0, 3.0, 1.0, 2.0])
+    folded = [
+        (np.abs(np.arccos(np.cos(t))), np.where(np.sin(t / 2) * np.cos(t / 2) < 0, p + math.pi, p))
+        for t, p in ((theta_b, phi_b), (theta_t, phi_t))
+    ]
+    (tb, pb), (tt, pt) = folded
+    projected = projected_overlap_batch(n, theta_b, phi_b, theta_t, phi_t)
+    assert np.max(np.abs(projected - projected_overlap_batch(n, tb, pb, tt, pt))) < 1e-13
+    closed = symmetric_overlap_batch(n, theta_t, phi_t, theta_b, phi_b)
+    assert np.max(np.abs(projected - closed)) < 1e-13
+    _, _, leak1, leak2 = batch_success_probabilities(
+        n, PovmParams(1.0, 1.0), theta_b, phi_b, theta_t, phi_t
+    )
+    assert np.max(np.abs(leak1)) < 1e-13 and np.max(np.abs(leak2)) < 1e-13
+    with pytest.raises(ValueError):
+        batch_success_probabilities(n, PovmParams(1.0, 1.0), [math.nan], [0.0], [1.0], [0.0])
 
 
 def test_overlap_batch_shapes():
