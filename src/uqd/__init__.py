@@ -15,6 +15,7 @@ from .symmetric import (
     ReducedState,
     binomial,
     build_input_state,
+    build_input_states,
     build_symmetric_projector,
     dicke_amplitudes,
     reduced_dim,
@@ -24,7 +25,9 @@ from .povm import (
     PovmTriple,
     build_povm,
     closed_form_expectation,
+    closed_form_expectations,
     no_error_check,
+    success_probabilities,
     success_probability,
     total_success,
 )

@@ -82,6 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--n-max", type=int, default=2, help=f"largest n to check (<= {FULL_N_MAX})"
     )
+    verify.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON object instead of the PASS/FAIL lines",
+    )
     verify.set_defaults(func=_cmd_verify)
 
     return parser
@@ -166,14 +171,23 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             f"--n-max {args.n_max} exceeds the full-space cap of {FULL_N_MAX}"
         )
     results = run_verification(args.n_max)
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}")
     failed = [r for r in results if not r.passed]
+    if args.json:
+        payload = {
+            "checks": len(results),
+            "all_passed": not failed,
+            "results": [r.to_dict() for r in results],
+        }
+        print(json.dumps(payload, allow_nan=False))
+    else:
+        for result in results:
+            status = "PASS" if result.passed else "FAIL"
+            print(f"{status} {result.name}: {result.detail}")
+        if not failed:
+            print(f"all {len(results)} checks passed")
     if failed:
         print(f"{TOOL_NAME}: first failing check: {failed[0].name}", file=sys.stderr)
         return 1
-    print(f"all {len(results)} checks passed")
     return 0
 
 

@@ -23,6 +23,7 @@ angles and convert them once.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .symmetric import (
     _check_copies,
     build_input_state,
     build_symmetric_projector,
+    pair_angles,
     reduced_dim,
 )
 
@@ -87,19 +89,27 @@ def build_povm(n: int, params: PovmParams) -> PovmTriple:
     )
 
 
-def _expectation(state: ReducedState, op: ReducedOperator) -> float:
-    return float(np.real(np.vdot(state.amplitudes, op.entries @ state.amplitudes)))
+def success_probabilities(
+    amplitudes: np.ndarray, triple: PovmTriple, which: int
+) -> np.ndarray:
+    """`success_probability` for reduced states held as the rows of
+    `amplitudes`, shape (states, 2(n+1)^2): Re <psi|pi_which|psi> per row."""
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which!r}")
+    amplitudes = np.asarray(amplitudes)
+    dim = reduced_dim(triple.n)
+    if amplitudes.ndim != 2 or amplitudes.shape[1] != dim:
+        raise ValueError(
+            f"states must have shape (rows, {dim}) for the measurement's "
+            f"n={triple.n}, got {amplitudes.shape}"
+        )
+    op = (triple.pi1 if which == 1 else triple.pi2).entries
+    return np.real(np.sum(amplitudes.conj() * (amplitudes @ op.T), axis=-1))
 
 
 def success_probability(state: ReducedState, triple: PovmTriple, which: int) -> float:
     """Probability that the conclusive element `which` fires on `state`."""
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    if state.n != triple.n:
-        raise ValueError(
-            f"state has n={state.n} but the measurement has n={triple.n}"
-        )
-    return _expectation(state, triple.pi1 if which == 1 else triple.pi2)
+    return float(success_probabilities(state.amplitudes[None, :], triple, which)[0])
 
 
 def _amplitudes(
@@ -277,6 +287,17 @@ def projected_overlap_batch(
     return _projected_overlap(n, cb, sb, ct, st, cos_delta)
 
 
+def closed_form_expectations(
+    psi1s: Sequence[BlochQubit], psi2s: Sequence[BlochQubit], n: int, which: int
+) -> np.ndarray:
+    """`closed_form_expectation`, one value per pair (psi1s[i], psi2s[i])."""
+    theta1, phi1, theta2, phi2 = pair_angles(psi1s, psi2s, which)
+    # the tail repeats input `which`; the projected block holds the other qubit
+    if which == 1:
+        return symmetric_overlap_batch(n, theta1, phi1, theta2, phi2)
+    return symmetric_overlap_batch(n, theta2, phi2, theta1, phi1)
+
+
 def closed_form_expectation(
     psi1: BlochQubit, psi2: BlochQubit, n: int, which: int
 ) -> float:
@@ -285,14 +306,7 @@ def closed_form_expectation(
     Equals <Psi|P x I|Psi> computed by the matrix route, but needs no
     reduced-basis operator: p_which = c_which * (1 - this value).
     """
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    tail, block = (psi1, psi2) if which == 1 else (psi2, psi1)
-    return float(
-        symmetric_overlap_batch(
-            n, [tail.theta], [tail.phi], [block.theta], [block.phi]
-        )[0]
-    )
+    return float(closed_form_expectations([psi1], [psi2], n, which)[0])
 
 
 def _pair_terms(
@@ -346,8 +360,8 @@ def no_error_check(triple: PovmTriple, psi1: BlochQubit, psi2: BlochQubit) -> fl
     state1 = build_input_state(psi1, psi2, triple.n, 1)
     state2 = build_input_state(psi1, psi2, triple.n, 2)
     return max(
-        abs(_expectation(state1, triple.pi2)),
-        abs(_expectation(state2, triple.pi1)),
+        abs(success_probability(state1, triple, 2)),
+        abs(success_probability(state2, triple, 1)),
     )
 
 

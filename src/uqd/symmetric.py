@@ -19,6 +19,7 @@ keeps its two tail settings adjacent.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -255,15 +256,44 @@ def build_symmetric_projector(n: int, block: Block) -> ReducedOperator:
     return ReducedOperator(n, mat)
 
 
+def pair_angles(
+    psi1s: Sequence[BlochQubit], psi2s: Sequence[BlochQubit], which: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch angles (theta1, phi1, theta2, phi2) of two paired qubit lists,
+    one float array each, once `which` and the list lengths are checked."""
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which!r}")
+    if len(psi1s) != len(psi2s):
+        raise ValueError(f"got {len(psi1s)} first and {len(psi2s)} second qubits")
+    return (
+        np.array([q.theta for q in psi1s], dtype=float),
+        np.array([q.phi for q in psi1s], dtype=float),
+        np.array([q.theta for q in psi2s], dtype=float),
+        np.array([q.phi for q in psi2s], dtype=float),
+    )
+
+
+def build_input_states(
+    psi1s: Sequence[BlochQubit], psi2s: Sequence[BlochQubit], n: int, which: int
+) -> np.ndarray:
+    """Amplitudes of `build_input_state`, one row per pair (psi1s[i], psi2s[i]),
+    shape (pairs, 2(n+1)^2) in the flat order l*2(n+1) + m*2 + t."""
+    _check_copies(n)
+    theta1, phi1, theta2, phi2 = pair_angles(psi1s, psi2s, which)
+    odd = dicke_amplitudes_batch(n, theta1, phi1)
+    even = dicke_amplitudes_batch(n, theta2, phi2)
+    tail_angles = (theta1, phi1) if which == 1 else (theta2, phi2)
+    # one copy's Dicke coefficients are its two amplitudes
+    tail = dicke_amplitudes_batch(1, *tail_angles)
+    rows = len(odd)
+    # the products of np.kron(odd, np.kron(even, tail)), in the same order
+    pair = (even[:, :, None] * tail[:, None, :]).reshape(rows, 2 * (n + 1))
+    return (odd[:, :, None] * pair[:, None, :]).reshape(rows, reduced_dim(n))
+
+
 def build_input_state(
     psi1: BlochQubit, psi2: BlochQubit, n: int, which: int
 ) -> ReducedState:
     """Register state: psi1 fills the odd block, psi2 the even block, and the
     tail carries whichever of the two `which` selects."""
-    _check_copies(n)
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    odd = dicke_amplitudes(psi1, n)
-    even = dicke_amplitudes(psi2, n)
-    tail = (psi1 if which == 1 else psi2).amplitudes()
-    return ReducedState(n, np.kron(odd, np.kron(even, tail)))
+    return ReducedState(n, build_input_states([psi1], [psi2], n, which)[0])

@@ -1,11 +1,13 @@
 """End-to-end drives of every subcommand through cli.main."""
 
 import json
+import math
 
 import pytest
 
 import uqd.cli
 from uqd.cli import main
+from uqd.fullspace import CheckResult, run_verification
 from uqd.povm import PovmParams
 from uqd.spectral import closed_form_extreme_eigenvalues
 from uqd.strategy import validity_range
@@ -245,6 +247,35 @@ def test_verify_full_range(capsys):
     assert len(lines) == 56
     assert sum(line.startswith("PASS ") for line in lines) == 55
     assert lines[-1] == "all 55 checks passed"
+
+
+def test_verify_json_round_trips(capsys):
+    code, out, err = _run(capsys, ["verify", "--n-max", "2", "--json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    expected = run_verification(2)
+    assert payload["checks"] == len(expected) == 22
+    assert payload["all_passed"] is True
+    assert payload["results"] == [
+        {"name": r.name, "deviation": r.deviation, "tol": r.tol, "passed": True}
+        for r in expected
+    ]
+
+
+def test_verify_json_failure_writes_null_and_exits_1(capsys, monkeypatch):
+    results = [CheckResult("finite", 1e-16, 1e-12), CheckResult("blown", math.inf, 1e-12)]
+    monkeypatch.setattr(uqd.cli, "run_verification", lambda n_max: results)
+    code, out, err = _run(capsys, ["verify", "--n-max", "1", "--json"])
+    assert code == 1
+    assert json.loads(out) == {
+        "checks": 2,
+        "all_passed": False,
+        "results": [
+            {"name": "finite", "deviation": 1e-16, "tol": 1e-12, "passed": True},
+            {"name": "blown", "deviation": None, "tol": 1e-12, "passed": False},
+        ],
+    }
+    assert err == "uqd: first failing check: blown\n"
 
 
 def test_verify_cap(capsys):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqd.fullspace
+import uqd.povm
+import uqd.symmetric
 from uqd.fullspace import (
     FULL_N_MAX,
     CheckResult,
@@ -217,14 +219,48 @@ def _failed_names(results):
 
 
 def test_oracle_catches_perturbed_closed_form(monkeypatch):
-    original = uqd.fullspace.closed_form_expectation
+    original = uqd.fullspace.closed_form_expectations
     monkeypatch.setattr(
         uqd.fullspace,
-        "closed_form_expectation",
+        "closed_form_expectations",
         lambda *args: original(*args) + 1e-6,
     )
     assert _failed_names(run_verification(2)) == [
         f"n={n} overlap full/reduced/closed agree" for n in (1, 2)
+    ]
+
+
+def test_oracle_catches_perturbed_success_probabilities(monkeypatch):
+    original = uqd.fullspace.success_probabilities
+    monkeypatch.setattr(
+        uqd.fullspace,
+        "success_probabilities",
+        lambda *args: original(*args) + 1e-6,
+    )
+    assert _failed_names(run_verification(2)) == [
+        f"n={n} success probabilities full vs reduced" for n in (1, 2)
+    ]
+
+
+def test_oracle_catches_conjugated_tail(monkeypatch):
+    original = uqd.fullspace.build_input_states
+
+    def conjugated_tail(psi1s, psi2s, n, which):
+        # (c, s e^{i phi}) -> (c, s e^{-i phi}) on the tail qubit only
+        states = original(psi1s, psi2s, n, which).reshape(len(psi1s), -1, 2)
+        phis = np.array([q.phi for q in (psi1s if which == 1 else psi2s)])
+        states[:, :, 1] *= np.exp(-2j * phis)[:, None]
+        return states.reshape(len(psi1s), -1)
+
+    monkeypatch.setattr(uqd.fullspace, "build_input_states", conjugated_tail)
+    assert _failed_names(run_verification(2)) == [
+        f"n={n} {check}"
+        for n in (1, 2)
+        for check in (
+            "input embedding matches",
+            "overlap full/reduced/closed agree",
+            "success probabilities full vs reduced",
+        )
     ]
 
 
@@ -245,6 +281,20 @@ def test_verification_builds_no_dense_operator(monkeypatch):
         raise AssertionError("dense full-space projector built")
 
     monkeypatch.setattr(uqd.fullspace, "symmetric_projector_full", refuse)
+    results = run_verification(3)
+    assert len(results) == 33
+    assert _failed_names(results) == []
+
+
+def test_verification_makes_no_per_pair_reduced_calls(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-pair reduced-side call")
+
+    monkeypatch.setattr(uqd.symmetric, "build_input_state", refuse)
+    monkeypatch.setattr(uqd.povm, "closed_form_expectation", refuse)
+    monkeypatch.setattr(uqd.povm, "success_probability", refuse)
+    for name in ("build_input_state", "closed_form_expectation", "success_probability"):
+        assert not hasattr(uqd.fullspace, name)
     results = run_verification(3)
     assert len(results) == 33
     assert _failed_names(results) == []

@@ -22,8 +22,10 @@ from uqd.povm import (
     batch_success_probabilities,
     build_povm,
     closed_form_expectation,
+    closed_form_expectations,
     no_error_check,
     projected_overlap_batch,
+    success_probabilities,
     success_probability,
     symmetric_overlap_batch,
     total_success,
@@ -31,6 +33,7 @@ from uqd.povm import (
 from uqd.symmetric import (
     BlochQubit,
     build_input_state,
+    build_input_states,
     dicke_amplitudes,
     dicke_magnitudes_batch,
     reduced_dim,
@@ -103,6 +106,56 @@ def test_success_probability_usage_errors():
     other = build_input_state(BlochQubit(0.1, 0.0), BlochQubit(1.0, 1.0), 3, 1)
     with pytest.raises(ValueError):
         success_probability(other, triple, 1)
+
+
+def _qubit_pairs(count, seed):
+    angles = np.random.default_rng(seed).uniform(0, [math.pi, 2 * math.pi], (2 * count, 2))
+    qubits = [BlochQubit(theta, phi) for theta, phi in angles]
+    return qubits[:count], qubits[count:]
+
+
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_closed_form_expectations_equal_scalar_bitwise(n):
+    firsts, seconds = _qubit_pairs(20, n)
+    firsts.append(BlochQubit(0.0, 0.0))
+    seconds.append(BlochQubit(math.pi, 0.0))
+    for which in (1, 2):
+        batch = closed_form_expectations(firsts, seconds, n, which)
+        scalar = [closed_form_expectation(a, b, n, which) for a, b in zip(firsts, seconds)]
+        assert batch.shape == (len(firsts),)
+        assert np.array_equal(batch, scalar)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_success_probabilities_match_vdot(n):
+    firsts, seconds = _qubit_pairs(12, 10 + n)
+    triple = build_povm(n, PovmParams(0.35, 0.45))
+    for which in (1, 2):
+        rows = build_input_states(firsts, seconds, n, which)
+        for other in (1, 2):
+            batch = success_probabilities(rows, triple, other)
+            op = (triple.pi1 if other == 1 else triple.pi2).entries
+            explicit = [np.vdot(row, op @ row).real for row in rows]
+            assert np.max(np.abs(batch - explicit)) <= 1e-15
+
+
+def test_batched_routes_validation_and_empty_batch():
+    q = BlochQubit(0.4, 1.0)
+    triple = build_povm(2, PovmParams(0.5, 0.5))
+    rows = build_input_states([q], [q], 2, 1)
+    with pytest.raises(ValueError):
+        closed_form_expectations([q, q], [q], 2, 1)
+    with pytest.raises(ValueError):
+        closed_form_expectations([q], [q], 2, 0)
+    with pytest.raises(ValueError):
+        success_probabilities(rows, triple, 3)
+    with pytest.raises(ValueError):
+        success_probabilities(build_input_states([q], [q], 3, 1), triple, 1)
+    with pytest.raises(ValueError):
+        success_probabilities(rows[0], triple, 1)
+    assert closed_form_expectations([], [], 2, 1).shape == (0,)
+    empty = np.zeros((0, reduced_dim(2)), dtype=complex)
+    assert success_probabilities(empty, triple, 2).shape == (0,)
 
 
 def test_closed_form_symmetric_input_is_one():

@@ -16,6 +16,7 @@ from uqd.symmetric import (
     ReducedState,
     binomial,
     build_input_state,
+    build_input_states,
     build_symmetric_projector,
     dicke_amplitudes,
     dicke_magnitudes_batch,
@@ -261,6 +262,47 @@ def test_input_state_rejects_bad_which():
     q = BlochQubit(0.5, 0.5)
     with pytest.raises(ValueError):
         build_input_state(q, q, 2, 3)
+
+
+def _edge_and_random_pairs():
+    rng = np.random.default_rng(31)
+    angles = rng.uniform(0, [math.pi, 2 * math.pi], (6, 2))
+    q = BlochQubit(1.1, 4.0)
+    pairs = [
+        (BlochQubit(0.0, 0.0), BlochQubit(math.pi, 0.0)),
+        (BlochQubit(math.pi, 1.0), BlochQubit(0.3, 2.0)),
+        (BlochQubit(0.0, 5.0), BlochQubit(0.0, 5.0)),
+        (q, q),
+        (q, BlochQubit(math.pi - q.theta, q.phi + math.pi)),
+    ]
+    pairs += [(BlochQubit(*a), BlochQubit(*b)) for a, b in zip(angles[:3], angles[3:])]
+    return [p for p, _ in pairs], [p for _, p in pairs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 60, 61, 100])
+@pytest.mark.parametrize("which", [1, 2])
+def test_input_states_match_kron_chain(n, which):
+    # the n values straddle the log-space switch of the Dicke amplitudes at 60
+    firsts, seconds = _edge_and_random_pairs()
+    rows = build_input_states(firsts, seconds, n, which)
+    assert rows.shape == (len(firsts), reduced_dim(n))
+    for row, psi1, psi2 in zip(rows, firsts, seconds):
+        odd = dicke_amplitudes(psi1, n)
+        even = dicke_amplitudes(psi2, n)
+        tail = (psi1 if which == 1 else psi2).amplitudes()
+        expected = np.kron(odd, np.kron(even, tail))
+        assert np.max(np.abs(row - expected)) <= 1e-15
+
+
+def test_input_states_validation_and_empty_batch():
+    q = BlochQubit(0.5, 0.5)
+    with pytest.raises(ValueError):
+        build_input_states([q, q], [q], 2, 1)
+    with pytest.raises(ValueError):
+        build_input_states([q], [q], 2, 3)
+    with pytest.raises(ValueError):
+        build_input_states([q], [q], 0, 1)
+    assert build_input_states([], [], 3, 2).shape == (0, reduced_dim(3))
 
 
 @settings(max_examples=30)
