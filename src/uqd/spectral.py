@@ -455,25 +455,44 @@ def _end_block_minimum(n: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[..., 0].min(axis=0)
 
 
+# doubles per (sector, point) working array of the inertia count: the points
+# are taken in batches of _COUNT_DOUBLES // (2n+2), so memory stays O(points)
+_COUNT_DOUBLES = 2**20
+
+
 def _count_below(n: int, c1: np.ndarray, c2: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below `shift` at each scale pair.
 
     By Sylvester's law of inertia, the negative pivots of the LDL^T
     factorization of a tridiagonal T - shift I count the eigenvalues of T
     below the shift.  The recurrence d_k = (a_k - shift) - b_{k-1}^2 / d_{k-1}
-    runs along the chain of all sectors one member at a time, on vectors
-    over the scale pairs, so it holds O(1) vectors; a zero link ends each
-    sector.  An exact zero pivot is replaced by the smallest normal float.
+    runs over every sector at once, one chain position at a time, on
+    (sector, point) arrays: 2n+1 steps.  Sectors s and 2n+1-s have 2s+1
+    members for s <= n, so those with a member at position i are the
+    contiguous range (i+1)//2 .. 2n+1-(i+1)//2.  An exact zero pivot is
+    replaced by the smallest normal float.
     """
+    l, m, t, bounds = _members(n)
+    sectors = 2 * n + 2
+    batch = max(1, _COUNT_DOUBLES // sectors)
     below = np.zeros(len(shift), dtype=np.int64)
     tiny = np.finfo(float).tiny
-    pivot, squared = 1.0, 0.0
-    for member in zip(*_members(n)[:3]):
-        diagonal, link = _chain_entries(n, *member, c1, c2)
-        pivot = (diagonal - shift) - squared / pivot
-        pivot[pivot == 0.0] = tiny
-        below += pivot < 0.0
-        squared = link**2
+    for start in range(0, len(shift), batch):
+        points = slice(start, start + batch)
+        a, b, sigma = c1[points], c2[points], shift[points]
+        pivot, squared = np.ones((sectors, 1)), np.zeros((sectors, 1))
+        for i in range(2 * n + 1):
+            lo = (i + 1) // 2
+            chain = bounds[lo : sectors - lo] + i
+            diagonal, link = _chain_entries(
+                n, l[chain, None], m[chain, None], t[chain, None], a, b
+            )
+            # after an even position the two end sectors of the range run out
+            kept = slice(i % 2, len(pivot) - i % 2)
+            pivot = (diagonal - sigma) - squared[kept] / pivot[kept]
+            pivot[pivot == 0.0] = tiny
+            below[points] += np.count_nonzero(pivot < 0.0, axis=0)
+            squared = link**2
     return below
 
 
@@ -486,7 +505,8 @@ def least_eigenvalues(n: int, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     eigenvalue below it minus FEASIBLE_TOL, so the result does not rest on
     the closed-form claim that J_1 and K_1 hold the extreme pair.  No
     spectrum, dense operator or stored block is formed: the cost is
-    O(n^2) per pair, and the working memory a few vectors over the pairs.
+    O(n^2) per pair in 2n+1 array steps, and the working memory a few
+    (sector, pair) arrays, taken a batch of pairs at a time.
     Returns (least, feasible) as arrays; raises RuntimeError if the
     certificate fails.
     """

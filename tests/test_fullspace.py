@@ -135,7 +135,74 @@ def test_apply_matches_dense_projector_on_any_group(data):
         label="positions",
     )
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
-    _assert_apply_matches_dense(n, positions, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    _assert_apply_matches_dense(n, positions, rng)
+    _assert_apply_equals_moveaxis(n, positions, rng)
+
+
+def _moveaxis_apply(n, positions, states):
+    # reference by axis moves: the projected qubit axes go to the front of
+    # a (batch, 2, ..., 2) view, which is copied into a C-ordered matrix,
+    # multiplied by D^T D and moved back.  For interleaved groups, such as
+    # the production ones, reshape makes that copy itself; for a run of
+    # trailing positions it returns a strided view, which BLAS may round
+    # differently in the last bit, so the copy is explicit.
+    inside = tuple(sorted(positions))
+    tensor = states.reshape((-1,) + (2,) * (2 * n + 1))
+    front = tuple(range(1, n + 2))
+    moved = np.moveaxis(tensor, inside, front)
+    popcount = np.array([bin(b).count("1") for b in range(2 ** (n + 1))])
+    counts = np.arange(n + 2)
+    scale = np.array([math.comb(n + 1, k) for k in range(n + 2)], dtype=float)
+    dicke = (popcount[None, :] == counts[:, None]) / np.sqrt(scale)[:, None]
+    flat = np.ascontiguousarray(moved.reshape(len(tensor), 2 ** (n + 1), 2**n))
+    projected = (dicke.T @ (dicke @ flat)).reshape(moved.shape)
+    return np.moveaxis(projected, front, inside).reshape(states.shape)
+
+
+def _assert_apply_equals_moveaxis(n, positions, rng):
+    # the same numbers in the same order, so equal to the last bit
+    shape = (4, full_dim(n))
+    real = rng.normal(size=shape)
+    for states in (real, real + 1j * rng.normal(size=shape)):
+        applied = apply_symmetric_projector(n, positions, states)
+        assert applied.dtype == states.dtype
+        assert np.array_equal(applied, _moveaxis_apply(n, positions, states))
+
+
+@pytest.mark.parametrize("n", range(1, FULL_N_MAX + 1))
+def test_apply_equals_moveaxis_formulation_on_production_groups(n):
+    rng = np.random.default_rng(100 + n)
+    tail = (tail_position(n),)
+    for positions in (even_positions(n) + tail, odd_positions(n) + tail):
+        _assert_apply_equals_moveaxis(n, positions, rng)
+
+
+@pytest.mark.parametrize("n", range(2, FULL_N_MAX + 1))
+def test_gather_order_is_not_its_own_inverse(n):
+    # an apply that gathered back by `order` instead of its inverse would
+    # pass the equality tests if `order` were an involution
+    tail = (tail_position(n),)
+    identity = np.arange(full_dim(n))
+    for positions in (even_positions(n) + tail, odd_positions(n) + tail):
+        order = uqd.fullspace._front_order(n, positions)
+        assert np.array_equal(np.sort(order), identity)
+        assert not np.array_equal(order[order], identity)
+
+
+def test_apply_keeps_leading_shape_and_real_dtype():
+    n = 2
+    positions = even_positions(n) + (tail_position(n),)
+    rng = np.random.default_rng(5)
+    for lead in ((), (0,), (2, 3)):
+        states = rng.normal(size=lead + (full_dim(n),))
+        applied = apply_symmetric_projector(n, positions, states)
+        assert applied.shape == states.shape
+        assert applied.dtype == np.float64
+        rows = states.reshape(-1, full_dim(n))
+        assert np.array_equal(
+            applied.reshape(rows.shape), _moveaxis_apply(n, positions, rows)
+        )
 
 
 def test_apply_validation():

@@ -437,6 +437,33 @@ def test_inertia_count_sees_every_member_of_the_extreme_pair():
     assert below_high == 2 * (n + 1) ** 2 - 2 * (n + 1) - 2 * n
 
 
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_inertia_count_steps_all_sectors_at_once(n, monkeypatch):
+    original = uqd.spectral._chain_entries
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(uqd.spectral, "_chain_entries", counted)
+    least_eigenvalues(n, [0.3, 0.7, 1.0], [0.4, 0.2, 1.0])
+    # the J_1/K_1 set-up takes three members of each 3x3 block one by one
+    set_up = 6
+    assert len(calls) <= 2 * n + 2 + set_up
+
+
+def test_inertia_count_is_the_same_in_batches_of_points(monkeypatch):
+    n = 5
+    rng = np.random.default_rng(11)
+    c1, c2 = rng.uniform(size=(2, 7))
+    shift = rng.uniform(-0.5, 1.5, size=7)
+    whole = _count_below(n, c1, c2, shift)
+    # two points per batch, so the last batch is short
+    monkeypatch.setattr(uqd.spectral, "_COUNT_DOUBLES", 2 * (2 * n + 2))
+    np.testing.assert_array_equal(_count_below(n, c1, c2, shift), whole)
+
+
 def test_least_eigenvalue_certificate_is_not_vacuous(monkeypatch):
     c1, c2 = np.array([0.3, 0.8, 0.5]), np.array([0.4, 0.9, 0.0])
     least, _ = least_eigenvalues(4, c1, c2)
