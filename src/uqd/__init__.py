@@ -2,9 +2,12 @@
 
 A register interleaves n copies each of two unknown program qubits and one
 data qubit equal to one of them.  The package builds the measurement that
-identifies which, never errs, and maximizes the average success over
-uniformly random program qubits; it also carries the spectral feasibility
-analysis, a brute-force full-space oracle, and Monte Carlo validation.
+identifies which and never errs.  Its conclusive elements scale the
+complements of two symmetric projectors by c1 and c2 (the two-scale
+family), and within that family the scales maximize the average success
+over uniformly random program qubits; no claim is made about measurements
+outside it.  The package also carries the spectral feasibility analysis, a
+brute-force full-space oracle, and Monte Carlo validation.
 """
 
 from .symmetric import (

@@ -11,12 +11,14 @@ map and recovers theta = 2 atan2(s, c).
 Draws are taken chunk by chunk from one generator, row-major, so sample i
 consumes row i of the draw table whatever the chunk size: seeded results do
 not depend on it.  Each chunk holds O(rows) temporaries whatever n is, so
-the chunk size is a constant.  Per-pair success probabilities are averaged
-exactly (no outcome sampling) except in `simulate_outcomes`, which rolls
-individual measurement clicks.  Every sampled pair also gets its leak into
-the wrong element by explicit projection, O(sqrt(n)) per pair; the report
-carries the worst one and the z-score of the mean against the analytic
-target.
+the chunk size is a constant.  A chunk's amplitudes are (2, rows) stacks,
+qubit 1 in row 0 and qubit 2 in row 1, which the pair kernel reads without
+joining them.  Per-pair success probabilities are averaged exactly (no
+outcome sampling) except in `simulate_outcomes`, which rolls individual
+measurement clicks and tallies them in one pass.  Every sampled pair also
+gets its leak into the wrong element by explicit projection, O(sqrt(n)) per
+pair; the report carries the worst one and the z-score of the mean against
+the analytic target.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ def make_rng(seed: int) -> np.random.Generator:
 def _bloch_amplitudes(
     u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, s, phi) of a Bloch-uniform qubit from two uniforms on [0, 1)."""
-    return np.sqrt(u), np.sqrt(1.0 - u), 2 * math.pi * v
+    """(c, s, phi) of Bloch-uniform qubits from uniforms on [0, 1); c and s
+    come out C-contiguous whatever the strides of u."""
+    return np.sqrt(u, order="C"), np.sqrt(1.0 - u, order="C"), 2 * math.pi * v
 
 
 def sample_qubit(rng: np.random.Generator) -> BlochQubit:
@@ -66,19 +69,21 @@ _CHUNK_ROWS = 8192
 
 def _pair_amplitude_chunks(
     seed: int, samples: int
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (rows, c1, s1, c2, s2, cos(phi1 - phi2)) chunk by chunk.
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (rows, c, s, cos(phi1 - phi2)) chunk by chunk.
 
-    Each chunk draws its (rows, 4) uniforms in turn from one generator, which
+    c and s are C-contiguous (2, rows) stacks of half-angle amplitudes, row
+    0 for qubit 1 (uniform columns 0 and 1) and row 1 for qubit 2 (columns 2
+    and 3), each kind from one square root over both qubits.  Each chunk
+    draws its (rows, 4) uniforms in turn from one generator, which
     reproduces the all-at-once table bit for bit: row i is sample i.
     """
     rng = make_rng(seed)
     for start in range(0, samples, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, samples)
         u = rng.random((stop - start, 4))
-        c1, s1, phi1 = _bloch_amplitudes(u[:, 0], u[:, 1])
-        c2, s2, phi2 = _bloch_amplitudes(u[:, 2], u[:, 3])
-        yield slice(start, stop), c1, s1, c2, s2, np.cos(phi1 - phi2)
+        c, s, phi = _bloch_amplitudes(u[:, 0::2].T, u[:, 1::2].T)
+        yield slice(start, stop), c, s, np.cos(phi[0] - phi[1])
 
 
 @dataclass(frozen=True)
@@ -132,11 +137,11 @@ def mc_average_success(
     weighted = np.empty(samples)
     error_events = 0
     max_leak = 0.0
-    for sl, c1, s1, c2, s2, cos_delta in _pair_amplitude_chunks(seed, samples):
-        p1, p2, leak1, leak2 = _pair_terms(n, params, c1, s1, c2, s2, cos_delta)
+    for sl, c, s, cos_delta in _pair_amplitude_chunks(seed, samples):
+        p1, p2, leak1, leak2 = _pair_terms(n, params, c, s, cos_delta)
         weighted[sl] = eta1 * p1 + (1.0 - eta1) * p2
         error_events += int(np.count_nonzero((leak1 > _LEAK_TOL) | (leak2 > _LEAK_TOL)))
-        max_leak = max(max_leak, float(np.max(np.maximum(np.abs(leak1), np.abs(leak2)))))
+        max_leak = max(max_leak, float(max(leak1.max(), leak2.max(), -leak1.min(), -leak2.min())))
 
     mean = float(np.mean(weighted))
     std_error = float(np.std(weighted, ddof=1) / math.sqrt(samples))
@@ -157,8 +162,8 @@ def _projector_mean_stats(n: int, samples: int, seed: int) -> tuple[float, float
     _check_copies(n)
     _check_samples(samples)
     overlaps = np.empty(samples)
-    for sl, c1, s1, c2, s2, cos_delta in _pair_amplitude_chunks(seed, samples):
-        overlaps[sl] = _symmetric_overlap(n, c1, s1, c2, s2, cos_delta)
+    for sl, c, s, cos_delta in _pair_amplitude_chunks(seed, samples):
+        overlaps[sl] = _symmetric_overlap(n, c[0], s[0], c[1], s[1], cos_delta)
     mean = float(np.mean(overlaps))
     std_error = float(np.std(overlaps, ddof=1) / math.sqrt(samples))
     return mean, std_error
@@ -227,20 +232,21 @@ def simulate_outcomes(
         probs = np.clip(probs, 0.0, None)
         distributions.append(np.cumsum(probs / probs.sum()))
 
+    # A shot is input 2 when u0 >= eta1.  Its click is the number of its
+    # cumulative edges at or below u1, as searchsorted(side="right") counts
+    # them, capped at 2: the edges are sorted, so a third edge below u1
+    # (the total rounded under 1) adds nothing past the first two.  Outcome
+    # 3 * (input 2) + click tallies both inputs in one bincount.
     u = make_rng(seed).random((shots, 2))
-    labels = np.where(u[:, 0] < config.eta1, 1, 2)
-    outcomes = np.empty(shots, dtype=int)
-    for which, cumulative in zip((1, 2), distributions):
-        mask = labels == which
-        outcomes[mask] = np.searchsorted(cumulative, u[mask, 1], side="right")
-    outcomes = np.minimum(outcomes, 2)  # guard the u == 1.0 edge
-
-    identify1 = int(np.count_nonzero(outcomes == 0))
-    identify2 = int(np.count_nonzero(outcomes == 1))
-    fail = int(np.count_nonzero(outcomes == 2))
-    error_events = int(
-        np.count_nonzero(((outcomes == 0) & (labels == 2)) | ((outcomes == 1) & (labels == 1)))
-    )
+    second = u[:, 0] >= config.eta1
+    outcome = 3 * second
+    for edge in range(2):
+        outcome += u[:, 1] >= np.where(second, distributions[1][edge], distributions[0][edge])
+    tally = np.bincount(outcome, minlength=6).tolist()
+    identify1 = tally[0] + tally[3]
+    identify2 = tally[1] + tally[4]
+    fail = tally[2] + tally[5]
+    error_events = tally[1] + tally[3]
     return OutcomeCounts(
         identify1=identify1,
         identify2=identify2,

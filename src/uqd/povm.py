@@ -15,9 +15,13 @@ pair.  The leak into the wrong element is an explicit projection through the
 two-nonzeros-per-row factor of `tail_split_vectors`.  Its Dicke weights are
 filled by their ratio recurrence over a window of about 8.8 sqrt(n) terms
 around the mode, so it costs O(sqrt(n)) per pair and drops a binomial mass
-below 3e-17 (`_tail_split_sums`).  All per-pair routes share one kernel on
-half-angle amplitudes (`_pair_terms`); the public batch functions take Bloch
-angles and convert them once.
+below 3e-17.  One kernel, `_tail_split_sums`, sums them in the frame of the
+block qubit's larger amplitude.  The mismatched-qubit route maps the tail's
+amplitudes into that frame; the same-qubit leak, whose block and tail hold
+one qubit, needs no map.  The success probabilities and both leaks of a
+qubit pair come from `_pair_terms`, which takes the two qubits' half-angle
+amplitudes as stacked (2, rows) arrays; the public batch functions take
+Bloch angles and convert them once.
 """
 
 from __future__ import annotations
@@ -175,23 +179,27 @@ _WINDOW = 4.4
 
 
 def _tail_split_sums(
-    n: int, c: np.ndarray, s: np.ndarray
+    n: int, big: np.ndarray, small: np.ndarray, small_sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(stay, move, cross) of the block qubit (c, s) under the tail split.
+    """(stay, move, cross) of a block qubit under the tail split, in the frame
+    of its larger amplitude: big = max(c, s), small = min(c, s), and small_sq
+    = small * small.
 
-    With w_k = sqrt(C(n,k)) c^(n-k) s^k the Dicke magnitudes of n copies,
+    With w_k = sqrt(C(n,k)) big^(n-k) small^k the Dicke magnitudes of n
+    copies of (big, small),
 
         stay  = sum_k (n+1-k) w_k^2 / (n+1)
         move  = sum_k (k+1) w_k^2 / (n+1)
         cross = sum_{k>=1} sqrt(k (n+1-k)) w_k w_{k-1} / (n+1)
 
-    each divided by sum_k w_k^2.  The sums run in the frame of the larger
-    amplitude: with big = max(c, s) and small = min(c, s) the ratio
-    w_k / w_{k-1} = sqrt((n-k+1)/k) x has x = small/big <= 1, and the mirror
-    k -> n-k swaps stay and move and leaves cross alone.  Each row starts at
-    its mode with w = 1 and fills the window outward by that ratio, so no
-    value overflows and the common factor cancels in the division; no
-    (rows, n+1) table is built.
+    each divided by sum_k w_k^2.  The ratio w_k / w_{k-1} = sqrt((n-k+1)/k) x
+    has x = small/big <= 1.  A qubit with s > c is the mirror k -> n-k of its
+    frame, which swaps stay and move and leaves cross alone.  A caller whose
+    tail holds another qubit swaps that tail's amplitudes instead of the
+    sums; the same-qubit leak needs no map.  Each row starts at its mode
+    with w = 1 and fills the window outward by that ratio, so no value
+    overflows and the common factor cancels in the division; no (rows, n+1)
+    table is built.
 
     The window holds every k within 4.4 sqrt(n) of the row's mean n small^2
     (one more step on each side covers the mode's offset from the mean), so
@@ -199,15 +207,14 @@ def _tail_split_sums(
     n <= 23 it covers all of 0..n.  Cost: O(sqrt(n)) per row, O(n) per call
     for the ratio tables.
     """
-    swap = s > c
-    big = np.maximum(c, s)
-    small = np.minimum(c, s)
     x = small / big
-    # small^2 <= 1/2, so the mode floor((n+1) small^2) stays within 0..n.
-    mode = np.floor((n + 1) * small * small).astype(np.intp)
+    # small^2 <= 1/2, so the mode floor((n+1) small^2) stays within 0..n;
+    # the cast truncates, which floors a nonnegative value.
+    mode = ((n + 1) * small_sq).astype(np.intp)
 
     # The tables are indexed by k + pad so that steps past either end of
-    # 0..n read a zero ratio and leave w = 0 from there on.
+    # 0..n read a zero ratio and leave w = 0 from there on.  A step that
+    # reads k = mode + j in every row gathers table[pad + j:] by the mode.
     half_width = math.ceil(_WINDOW * math.sqrt(n)) + 1
     up_steps = min(half_width, n - int(mode.min(initial=n)))
     down_steps = min(half_width, int(mode.max(initial=0)))
@@ -218,46 +225,50 @@ def _tail_split_sums(
     link = np.zeros_like(up)
     link[pad + 1 : pad + n + 1] = np.sqrt(k * (n + 1 - k))
 
-    # mass, first moment relative to the mode, and cross, on O(rows) vectors
+    # mass, first moment relative to the mode, and cross, on O(rows) vectors;
+    # each walk starts from w = 1 at the mode
     mass = np.ones_like(x)
     offset = np.zeros_like(x)
     cross = np.zeros_like(x)
-    at = mode + pad
-    w = np.ones_like(x)
+    w = 1.0
     for step in range(1, up_steps + 1):
-        idx = at + step
-        next_w = w * up[idx] * x
+        at = pad + step
+        next_w = w * up[at:].take(mode) * x
         sq = next_w * next_w
         mass += sq
         offset += step * sq
-        cross += link[idx] * next_w * w
+        cross += link[at:].take(mode) * next_w * w
         w = next_w
     if down_steps:
         # Only rows with mode >= 1 step down, and they have small >= 1/sqrt(n+1).
         inv_x = np.divide(big, small, out=np.zeros_like(big), where=mode > 0)
         down = np.zeros_like(up)  # w_{k-1} / w_k * x at k + pad
         down[pad + 1 : pad + n + 1] = 1.0 / up[pad + 1 : pad + n + 1]
-        w = np.ones_like(x)
+        w = 1.0
         for step in range(down_steps):
-            idx = at - step
-            next_w = w * down[idx] * inv_x
+            at = pad - step
+            next_w = w * down[at:].take(mode) * inv_x
             sq = next_w * next_w
             mass += sq
             offset -= (step + 1) * sq
-            cross += link[idx] * next_w * w
+            cross += link[at:].take(mode) * next_w * w
             w = next_w
 
-    moment = mode * mass + offset  # sum_k k w_k^2 in the frame
-    moment = np.where(swap, n * mass - moment, moment)
+    moment = mode * mass + offset  # sum_k k w_k^2
     scale = (n + 1) * mass
-    return ((n + 1) * mass - moment) / scale, (mass + moment) / scale, cross / scale
+    return (scale - moment) / scale, (mass + moment) / scale, cross / scale
 
 
 def _projected_overlap(
     n: int, cb: np.ndarray, sb: np.ndarray, ct: np.ndarray, st: np.ndarray, cos_delta
 ) -> np.ndarray:
-    stay, move, cross = _tail_split_sums(n, cb, sb)
-    return ct * ct * stay + st * st * move + 2 * ct * st * cos_delta * cross
+    small = np.minimum(cb, sb)
+    stay, move, cross = _tail_split_sums(n, np.maximum(cb, sb), small, small * small)
+    # A block with sb > cb is the mirror of its frame: stay and move trade
+    # places, which is the same as trading the tail's c and s.
+    swap = sb > cb
+    c, s = np.where(swap, st, ct), np.where(swap, ct, st)
+    return c * c * stay + s * s * move + 2 * ct * st * cos_delta * cross
 
 
 def projected_overlap_batch(
@@ -310,27 +321,26 @@ def closed_form_expectation(
 
 
 def _pair_terms(
-    n: int,
-    params: PovmParams,
-    c1: np.ndarray,
-    s1: np.ndarray,
-    c2: np.ndarray,
-    s2: np.ndarray,
-    cos_delta,
+    n: int, params: PovmParams, c: np.ndarray, s: np.ndarray, cos_delta
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p1, p2, leak1, leak2) from half-angle amplitudes and cos(phi1 - phi2).
+    """(p1, p2, leak1, leak2) from stacked half-angle amplitudes and
+    cos(phi1 - phi2).
 
-    The fidelity is computed once; both leaks come from one explicit
-    projection over the stacked 2 * rows block qubits, each with the same
-    qubit on the tail (so the relative phase is 0).
+    c and s are C-contiguous (2, rows) stacks: row 0 is qubit 1, row 1
+    qubit 2.  The fidelity is computed once.  Both leaks come from one
+    explicit projection over the flat 2 * rows view, each block qubit with
+    the same qubit on the tail, so the relative phase is 0 and the kept
+    weight big^2 stay + small^2 move + 2 big small cross is the same in
+    either frame.
     """
-    miss = n * (1.0 - _fidelity(c1, s1, c2, s2, cos_delta)) / (n + 1)
-    c = np.concatenate([c1, c2])
-    s = np.concatenate([s1, s2])
-    kept = _projected_overlap(n, c, s, c, s, 1.0)
-    rows = len(c1)
-    leak1 = params.c2 * (1.0 - kept[:rows])
-    leak2 = params.c1 * (1.0 - kept[rows:])
+    miss = n * (1.0 - _fidelity(c[0], s[0], c[1], s[1], cos_delta)) / (n + 1)
+    flat_c, flat_s = c.reshape(-1), s.reshape(-1)
+    big, small = np.maximum(flat_c, flat_s), np.minimum(flat_c, flat_s)
+    small_sq = small * small
+    stay, move, cross = _tail_split_sums(n, big, small, small_sq)
+    kept = (big * big * stay + small_sq * move + 2 * big * small * cross).reshape(c.shape)
+    leak1 = params.c2 * (1.0 - kept[0])
+    leak2 = params.c1 * (1.0 - kept[1])
     return params.c1 * miss, params.c2 * miss, leak1, leak2
 
 
@@ -352,7 +362,8 @@ def batch_success_probabilities(
     and should vanish to float precision.
     """
     _check_copies(n)
-    return _pair_terms(n, params, *_amplitudes(theta1, phi1, theta2, phi2))
+    c1, s1, c2, s2, cos_delta = _amplitudes(theta1, phi1, theta2, phi2)
+    return _pair_terms(n, params, np.stack((c1, c2)), np.stack((s1, s2)), cos_delta)
 
 
 def no_error_check(triple: PovmTriple, psi1: BlochQubit, psi2: BlochQubit) -> float:

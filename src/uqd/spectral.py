@@ -274,16 +274,17 @@ def _members(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return l[order], m[order], t[order], bounds
 
 
-def _chain_entries(n: int, l, m, t, c1, c2):
+def _chain_entries(n: int, l, m, t, c1, c2, base):
     """Diagonal entry at member (l, m, t) and its link to the next member of
-    the sector, from the closed forms in the module docstring.  Members and
-    scales broadcast against each other.  The last member of a sector links
-    to nothing and gets exactly 0, so the members in `_members` order form
-    one chain that falls apart into the sector blocks.
+    the sector, from the closed forms in the module docstring.  base is
+    1 - c1 - c2, which callers that step along a chain form once.  Members
+    and scales broadcast against each other.  The last member of a sector
+    links to nothing and gets exactly 0, so the members in `_members` order
+    form one chain that falls apart into the sector blocks.
     """
     a_even = np.where(t == 0, n + 1 - m, m + 1)
     a_odd = np.where(t == 0, n + 1 - l, l + 1)
-    diagonal = (1.0 - c1 - c2) + (c1 * a_even + c2 * a_odd) / (n + 1)
+    diagonal = base + (c1 * a_even + c2 * a_odd) / (n + 1)
     # from t = 0 the tail takes an excitation from the even block (c1),
     # from t = 1 it hands one to the odd block (c2)
     link = np.where(
@@ -315,7 +316,8 @@ def sector_blocks(n: int, params: PovmParams) -> tuple[np.ndarray, ...]:
     """
     _check_sector_size(n)
     *members, bounds = _members(n)
-    diagonal, link = _chain_entries(n, *members, params.c1, params.c2)
+    c1, c2 = params.c1, params.c2
+    diagonal, link = _chain_entries(n, *members, c1, c2, 1.0 - c1 - c2)
     return tuple(_sector_block(diagonal, link, bounds, s) for s in range(2 * n + 2))
 
 
@@ -420,7 +422,7 @@ def spectrum_report(n: int, params: PovmParams) -> SpectrumReport:
     _check_sector_size(n)
     c1, c2 = params.c1, params.c2
     *members, bounds = _members(n)
-    diagonal, link = _chain_entries(n, *members, c1, c2)
+    diagonal, link = _chain_entries(n, *members, c1, c2, 1.0 - c1 - c2)
     j_series, k_series = [], []
     for l in range(n + 1):
         pair = [_sector_block(diagonal, link, bounds, s) for s in (l, 2 * n + 1 - l)]
@@ -445,11 +447,12 @@ def _end_block_minimum(n: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Least eigenvalue of J_1 and K_1 (sectors 1 and 2n) at each scale
     pair, from one eigvalsh over the stacked 3x3 blocks."""
     *members, bounds = _members(n)
+    base = 1.0 - c1 - c2
     stack = np.zeros((2, len(c1), 3, 3))
     for block, s in zip(stack, (1, 2 * n)):
         for i in range(3):
             member = (axis[bounds[s] + i] for axis in members)
-            block[:, i, i], link = _chain_entries(n, *member, c1, c2)
+            block[:, i, i], link = _chain_entries(n, *member, c1, c2, base)
             if i < 2:
                 block[:, i, i + 1] = block[:, i + 1, i] = link
     return np.linalg.eigvalsh(stack)[..., 0].min(axis=0)
@@ -457,7 +460,8 @@ def _end_block_minimum(n: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 # doubles per (sector, point) working array of the inertia count: the points
 # are taken in batches of _COUNT_DOUBLES // (2n+2), so memory stays O(points)
-_COUNT_DOUBLES = 2**20
+# and the dozen such arrays of one step stay in a few-MB cache
+_COUNT_DOUBLES = 2**16
 
 
 def _count_below(n: int, c1: np.ndarray, c2: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -480,12 +484,13 @@ def _count_below(n: int, c1: np.ndarray, c2: np.ndarray, shift: np.ndarray) -> n
     for start in range(0, len(shift), batch):
         points = slice(start, start + batch)
         a, b, sigma = c1[points], c2[points], shift[points]
+        base = 1.0 - a - b
         pivot, squared = np.ones((sectors, 1)), np.zeros((sectors, 1))
         for i in range(2 * n + 1):
             lo = (i + 1) // 2
             chain = bounds[lo : sectors - lo] + i
             diagonal, link = _chain_entries(
-                n, l[chain, None], m[chain, None], t[chain, None], a, b
+                n, l[chain, None], m[chain, None], t[chain, None], a, b, base
             )
             # after an even position the two end sectors of the range run out
             kept = slice(i % 2, len(pivot) - i % 2)

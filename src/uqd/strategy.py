@@ -1,5 +1,11 @@
 """Choosing measurement parameters from the prior.
 
+The measurements chosen here form the two-scale family of `build_povm`:
+pi1 = c1 (I - P_even) and pi2 = c2 (I - P_odd), with P_even and P_odd the
+even- and odd-block-plus-tail symmetric projectors and the inconclusive
+element fixed by completeness.  Every optimum below is an optimum within
+that family, not over all unambiguous measurements.
+
 Averaging the success probability over independent uniform program qubits
 turns the trade-off between the two scale factors into a one-dimensional
 problem along the positivity boundary.  The optimum is interior only when
@@ -72,7 +78,8 @@ def validity_range(n: int) -> tuple[float, float]:
 
 
 def optimal_c(n: int, eta1: float) -> tuple[float, float]:
-    """Scale factors maximizing the average success inside the validity window.
+    """Scale factors maximizing the average success of the two-scale family
+    inside the validity window.
 
     c1 = (n+1)^2/(2n+1) * (1 - n/(n+1) * sqrt((1-eta1)/eta1)); c2 swaps the
     priors.  The pair saturates the positivity boundary.  Values are clamped
@@ -92,8 +99,8 @@ def optimal_c(n: int, eta1: float) -> tuple[float, float]:
 
 
 def avg_success_povm(n: int, eta1: float) -> float:
-    """Average success of the optimal interior measurement,
-    n/(4n+2) * (n + 1 - 2n sqrt(eta1 (1 - eta1)))."""
+    """Average success of the best interior measurement of the two-scale
+    family, n/(4n+2) * (n + 1 - 2n sqrt(eta1 (1 - eta1)))."""
     _check_copies(n)
     if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
         raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")
@@ -122,9 +129,9 @@ def avg_success_expression(n: int, eta1: float, c1: float) -> float:
 
 
 def decide(config: DiscriminatorConfig) -> StrategyDecision:
-    """Pick the best strategy for the prior: the interior measurement inside
-    the validity window (boundaries included), else the projective strategy
-    aimed at the likelier preparation."""
+    """Pick the best two-scale strategy for the prior: the interior
+    measurement inside the validity window (boundaries included), else the
+    projective strategy aimed at the likelier preparation."""
     n, eta1 = config.n, config.eta1
     low, high = validity_range(n)
     if eta1 < low:

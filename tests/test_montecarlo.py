@@ -13,10 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uqd.montecarlo
+import uqd.povm
 from uqd.montecarlo import (
     McReport,
     OutcomeCounts,
     _bloch_amplitudes,
+    _pair_amplitude_chunks,
     _projector_mean_stats,
     make_rng,
     mc_average_success,
@@ -25,7 +27,7 @@ from uqd.montecarlo import (
     simulate_outcomes,
 )
 from uqd.povm import PovmParams, batch_success_probabilities
-from uqd.strategy import DiscriminatorConfig
+from uqd.strategy import DiscriminatorConfig, decide
 from uqd.symmetric import BlochQubit
 
 
@@ -192,6 +194,75 @@ def test_simulate_outcomes_shot_validation():
         simulate_outcomes(q1, q2, DiscriminatorConfig(2, 0.6), 0, 1)
 
 
+def _masked_outcomes(psi1, psi2, config, shots, seed):
+    """Counts by the route the one-pass tally replaced: a mask per label,
+    searchsorted(side="right") into its cumulative distribution, the
+    min(..., 2) guard and one count per bucket."""
+    decision = decide(config)
+    p1, p2, leak1, leak2 = (
+        float(x[0])
+        for x in batch_success_probabilities(
+            config.n,
+            PovmParams(decision.c1_opt, decision.c2_opt),
+            [psi1.theta],
+            [psi1.phi],
+            [psi2.theta],
+            [psi2.phi],
+        )
+    )
+    distributions = []
+    for probs in ((p1, leak1, 1.0 - p1 - leak1), (leak2, p2, 1.0 - leak2 - p2)):
+        probs = np.clip(np.array(probs), 0.0, None)
+        distributions.append(np.cumsum(probs / probs.sum()))
+    u = make_rng(seed).random((shots, 2))
+    labels = np.where(u[:, 0] < config.eta1, 1, 2)
+    outcomes = np.empty(shots, dtype=int)
+    for which, cumulative in zip((1, 2), distributions):
+        mask = labels == which
+        outcomes[mask] = np.searchsorted(cumulative, u[mask, 1], side="right")
+    outcomes = np.minimum(outcomes, 2)
+    return OutcomeCounts(
+        identify1=int(np.count_nonzero(outcomes == 0)),
+        identify2=int(np.count_nonzero(outcomes == 1)),
+        fail=int(np.count_nonzero(outcomes == 2)),
+        shots=shots,
+        error_events=int(
+            np.count_nonzero(((outcomes == 0) & (labels == 2)) | ((outcomes == 1) & (labels == 1)))
+        ),
+    )
+
+
+angles = st.tuples(
+    st.floats(min_value=0.0, max_value=math.pi), st.floats(min_value=0.0, max_value=2 * math.pi)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    st.sampled_from(["identical", "orthogonal", "random"]),
+    angles,
+    angles,
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example(n=2, eta1=0.0, kind="orthogonal", a=(0.0, 0.0), b=(0.0, 0.0), shots=5000, seed=3)
+@example(n=2, eta1=1.0, kind="orthogonal", a=(0.0, 0.0), b=(0.0, 0.0), shots=5000, seed=3)
+@example(n=3, eta1=0.5, kind="random", a=(0.4, 1.0), b=(2.5, 4.0), shots=1, seed=0)
+def test_outcome_tally_equals_the_masked_route(n, eta1, kind, a, b, shots, seed):
+    if kind == "identical":
+        psi1 = psi2 = BlochQubit(*a)
+    elif kind == "orthogonal":
+        psi1, psi2 = BlochQubit(*a), BlochQubit(math.pi - a[0], a[1] + math.pi)
+    else:
+        psi1, psi2 = BlochQubit(*a), BlochQubit(*b)
+    config = DiscriminatorConfig(n, eta1)
+    counts = simulate_outcomes(psi1, psi2, config, shots, seed)
+    assert counts == _masked_outcomes(psi1, psi2, config, shots, seed)
+    assert all(isinstance(v, int) for v in counts.to_dict().values())
+
+
 def test_chunk_layout_is_row_stable():
     # counter-based stream: sample i occupies row i however the batch splits
     long = make_rng(31).random((5000, 4))
@@ -270,3 +341,61 @@ def test_average_matches_the_angle_route(n):
     worst = max(np.max(np.abs(leak1)), np.max(np.abs(leak2)))
     assert abs(report.max_leak - worst) < 1e-12
     assert report.error_events == 0
+
+
+def test_chunk_rows_are_the_bloch_amplitudes_of_each_qubit(monkeypatch):
+    # (2, rows) stacks, C-contiguous: row 0 is qubit 1 (columns 0 and 1 of
+    # the draw table), row 1 is qubit 2 (columns 2 and 3)
+    monkeypatch.setattr(uqd.montecarlo, "_CHUNK_ROWS", 1000)
+    samples, seed = 2500, 4
+    u = make_rng(seed).random((samples, 4))
+    covered = 0
+    for sl, c, s, cos_delta in _pair_amplitude_chunks(seed, samples):
+        rows = sl.stop - sl.start
+        assert c.shape == s.shape == (2, rows) and cos_delta.shape == (rows,)
+        assert c.flags.c_contiguous and s.flags.c_contiguous
+        phis = []
+        for q, (col_u, col_v) in enumerate(((0, 1), (2, 3))):
+            c_ref, s_ref, phi = _bloch_amplitudes(u[sl, col_u], u[sl, col_v])
+            assert np.array_equal(c[q], c_ref) and np.array_equal(s[q], s_ref)
+            phis.append(phi)
+        assert np.array_equal(cos_delta, np.cos(phis[0] - phis[1]))
+        covered += rows
+    assert covered == samples
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_average_equals_an_all_at_once_reference(n):
+    # the whole Philox table drawn at once and the closed-form pair success
+    # in the kernel's arithmetic: mean and standard error agree bit for bit
+    samples, seed, eta1 = 20000, 37, 0.35
+    params = PovmParams(0.6, 0.3)
+    report = mc_average_success(n, params, eta1, samples, seed)
+    u = make_rng(seed).random((samples, 4))
+    c1, c2 = np.sqrt(u[:, 0]), np.sqrt(u[:, 2])
+    s1, s2 = np.sqrt(1.0 - u[:, 0]), np.sqrt(1.0 - u[:, 2])
+    cos_delta = np.cos(2 * math.pi * u[:, 1] - 2 * math.pi * u[:, 3])
+    cc, ss = c1 * c2, s1 * s2
+    miss = n * (1.0 - (cc * cc + ss * ss + 2 * cc * ss * cos_delta)) / (n + 1)
+    weighted = eta1 * (params.c1 * miss) + (1.0 - eta1) * (params.c2 * miss)
+    assert report.mean_success == float(np.mean(weighted))
+    assert report.std_error == float(np.std(weighted, ddof=1) / math.sqrt(samples))
+    assert report.error_events == 0
+
+
+class _NumpyWithoutJoins:
+    """numpy as the chunk path sees it, with every array join refused."""
+
+    def __getattr__(self, name):
+        if name in ("concatenate", "stack", "hstack", "vstack", "append"):
+            raise AssertionError(f"the Monte Carlo chunk path called np.{name}")
+        return getattr(np, name)
+
+
+def test_chunk_path_makes_no_concatenate_copy(monkeypatch):
+    # the stacked amplitudes reach the leak as a flat view, not a joined copy
+    for module in (uqd.montecarlo, uqd.povm):
+        monkeypatch.setattr(module, "np", _NumpyWithoutJoins())
+    report = mc_average_success(5, PovmParams(0.45, 0.55), 0.4, 3000, 2)
+    assert report.error_events == 0
+    _projector_mean_stats(5, 3000, 2)

@@ -327,18 +327,25 @@ def test_projection_of_mismatched_qubits_matches_closed_form(n):
             assert abs(projected[i] - dense) < 1e-12
 
 
-def _full_table_overlap(n, theta_b, phi_b, theta_t, phi_t):
-    """The projection summed over every k from a (rows, n+1) table of Dicke
-    magnitudes: the O(n) route the windowed recurrence replaced."""
-    w = dicke_magnitudes_batch(n, theta_b)
-    ct, st = np.cos(theta_t / 2), np.sin(theta_t / 2)
-    cos_delta = np.cos(phi_t - phi_b)
+def _table_sums(n, theta):
+    """(stay, move, cross) of the block qubit at polar angle theta, summed
+    over every k of a (rows, n+1) table of Dicke magnitudes: the O(n) route
+    the windowed recurrence replaced."""
+    w = dicke_magnitudes_batch(n, theta)
     k = np.arange(n + 1)
     w2 = w * w
     stay = w2 @ ((n + 1 - k) / (n + 1))
     move = w2 @ ((k + 1) / (n + 1))
     kk = k[1:]
     cross = (w[:, 1:] * w[:, :-1]) @ (np.sqrt(kk * (n + 1 - kk)) / (n + 1))
+    return stay, move, cross
+
+
+def _full_table_overlap(n, theta_b, phi_b, theta_t, phi_t):
+    """The projection with the full-table sums of the block qubit."""
+    stay, move, cross = _table_sums(n, theta_b)
+    ct, st = np.cos(theta_t / 2), np.sin(theta_t / 2)
+    cos_delta = np.cos(phi_t - phi_b)
     return ct**2 * stay + st**2 * move + 2 * ct * st * cos_delta * cross
 
 
@@ -358,6 +365,58 @@ def test_projection_matches_full_table_sum(n, tol):
     # and the same-qubit leaks
     kept = projected_overlap_batch(n, theta_b, phi_b, theta_b, phi_b)
     assert np.max(np.abs(kept - _full_table_overlap(n, theta_b, phi_b, theta_b, phi_b))) < tol
+
+
+def _frame_amplitudes(rng, count):
+    """Half-angle amplitudes (c, s) of random qubits plus the edge qubits
+    theta = 0, theta = pi, and c = s exactly, where x = 1 and the frame of
+    the larger amplitude ties."""
+    c = np.cos(np.arccos(rng.uniform(-1, 1, count)) / 2)
+    c = np.concatenate([c, [1.0, 0.0, math.sqrt(0.5)]])
+    s = np.sqrt(1.0 - c * c)
+    s[-1] = c[-1]
+    return c, s
+
+
+# n = 23 is the last size whose window covers all of 0..n, 24 the first
+# whose window does not; beyond n = 60 the reference's log-space magnitudes
+# are themselves ~1e-12 off
+FRAME_SIZES = [(1, 1e-12), (2, 1e-12), (5, 1e-12), (23, 1e-12), (24, 1e-12), (60, 1e-12),
+               (500, 1e-12), (5000, 1e-11)]
+
+
+@pytest.mark.parametrize("n,tol", FRAME_SIZES)
+def test_frame_sums_match_full_table(n, tol):
+    # the kernel's sums are those of the qubit (big, small), with no swap back
+    c, s = _frame_amplitudes(np.random.default_rng(800 + n), 40)
+    big, small = np.maximum(c, s), np.minimum(c, s)
+    sums = uqd.povm._tail_split_sums(n, big, small, small * small)
+    for got, want in zip(sums, _table_sums(n, 2 * np.arctan2(small, big))):
+        assert np.max(np.abs(got - want)) < tol
+    # where s > c the frame is the mirror of (c, s): stay and move trade places
+    stay, move, _ = _table_sums(n, 2 * np.arctan2(s, c))
+    swapped = s > c
+    assert np.max(np.abs(sums[0][swapped] - move[swapped])) < tol
+    assert np.max(np.abs(stay - move)[swapped]) > 0.1
+
+
+@pytest.mark.parametrize("n,tol", FRAME_SIZES)
+def test_same_qubit_leak_matches_full_table_sum(n, tol):
+    # the Monte Carlo route: stacked (2, rows) amplitudes straight into
+    # _pair_terms, each leak against the full-table projection of its qubit
+    rng = np.random.default_rng(900 + n)
+    c1, s1 = _frame_amplitudes(rng, 40)
+    c2, s2 = _frame_amplitudes(rng, 40)
+    cos_delta = rng.uniform(-1, 1, len(c1))
+    params = PovmParams(0.8, 0.65)
+    _, _, leak1, leak2 = uqd.povm._pair_terms(
+        n, params, np.stack((c1, c2)), np.stack((s1, s2)), cos_delta
+    )
+    for scale, c, s, leak in ((params.c2, c1, s1, leak1), (params.c1, c2, s2, leak2)):
+        stay, move, cross = _table_sums(n, 2 * np.arctan2(s, c))
+        kept = c * c * stay + s * s * move + 2 * c * s * cross
+        assert np.max(np.abs(leak - scale * (1.0 - kept))) < tol
+        assert np.max(np.abs(leak)) < tol
 
 
 @pytest.mark.parametrize("n", [100, 5000])
@@ -420,8 +479,8 @@ def test_leak_check_sees_a_dropped_cross_term(monkeypatch):
     # is wrong, and both the batch leaks and the Monte Carlo report show it
     real_sums = uqd.povm._tail_split_sums
 
-    def no_cross(n, c, s):
-        stay, move, cross = real_sums(n, c, s)
+    def no_cross(n, big, small, small_sq):
+        stay, move, cross = real_sums(n, big, small, small_sq)
         return stay, move, np.zeros_like(cross)
 
     monkeypatch.setattr(uqd.povm, "_tail_split_sums", no_cross)
