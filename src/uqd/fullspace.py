@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .montecarlo import sample_qubit
 from .povm import (
     PovmParams,
     build_povm,
@@ -293,12 +294,6 @@ def _expectations(states: np.ndarray, applied: np.ndarray) -> np.ndarray:
     return np.real(np.sum(states.conj() * applied, axis=-1))
 
 
-def _random_qubits(rng: np.random.Generator, count: int) -> list[BlochQubit]:
-    thetas = np.arccos(rng.uniform(-1.0, 1.0, size=count))
-    phis = rng.uniform(0.0, 2 * math.pi, size=count)
-    return [BlochQubit(float(t), float(p)) for t, p in zip(thetas, phis)]
-
-
 def run_verification(n_max: int, pairs: int = 100, seed: int = 2024) -> list[CheckResult]:
     """Cross-check the reduced-basis machinery against the full-space oracle
     for every n up to n_max.  Returns one result per named check.
@@ -357,7 +352,7 @@ def run_verification(n_max: int, pairs: int = 100, seed: int = 2024) -> list[Che
         scales = {1: params.c1, 2: params.c2}
         triple = build_povm(n, params)
 
-        qubits = _random_qubits(rng, 2 * pairs)
+        qubits = [sample_qubit(rng) for _ in range(2 * pairs)]
         firsts, seconds = qubits[0::2], qubits[1::2]
         embed_dev = 0.0
         overlap_dev = 0.0

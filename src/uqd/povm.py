@@ -12,10 +12,10 @@ builds its sector blocks from closed forms.  Per-pair quantities never need
 them either: n copies of |b> plus one |a> have weight (1 + n |<a|b>|^2)/(n+1)
 in the symmetric subspace, so the success probabilities cost O(1) per qubit
 pair.  The leak into the wrong element is an explicit projection through the
-two-nonzeros-per-row factor of `tail_split_vectors`.  Its Dicke weights are
-filled by their ratio recurrence over a window of about 8.8 sqrt(n) terms
-around the mode, so it costs O(sqrt(n)) per pair and drops a binomial mass
-below 3e-17.  One kernel, `_tail_split_sums`, sums them in the frame of the
+two-nonzeros-per-row factor of `tail_split_vectors`.  Its Dicke weights come
+from `symmetric._mode_walk` over a window of about 8.8 sqrt(n) terms around
+the mode, so it costs O(sqrt(n)) per pair and drops a binomial mass below
+3e-17.  One kernel, `_tail_split_sums`, sums them in the frame of the
 block qubit's larger amplitude.  The mismatched-qubit route maps the tail's
 amplitudes into that frame; the same-qubit leak, whose block and tail hold
 one qubit, needs no map.  The success probabilities and both leaks of a
@@ -38,6 +38,7 @@ from .symmetric import (
     ReducedOperator,
     ReducedState,
     _check_copies,
+    _mode_walk,
     build_input_state,
     build_symmetric_projector,
     pair_angles,
@@ -192,14 +193,11 @@ def _tail_split_sums(
         move  = sum_k (k+1) w_k^2 / (n+1)
         cross = sum_{k>=1} sqrt(k (n+1-k)) w_k w_{k-1} / (n+1)
 
-    each divided by sum_k w_k^2.  The ratio w_k / w_{k-1} = sqrt((n-k+1)/k) x
-    has x = small/big <= 1.  A qubit with s > c is the mirror k -> n-k of its
-    frame, which swaps stay and move and leaves cross alone.  A caller whose
-    tail holds another qubit swaps that tail's amplitudes instead of the
-    sums; the same-qubit leak needs no map.  Each row starts at its mode
-    with w = 1 and fills the window outward by that ratio, so no value
-    overflows and the common factor cancels in the division; no (rows, n+1)
-    table is built.
+    each divided by sum_k w_k^2, from `_mode_walk` with no (rows, n+1)
+    table.  A qubit with s > c is the mirror k -> n-k of its frame, which
+    swaps stay and move and leaves cross alone.  A caller whose tail holds
+    another qubit swaps that tail's amplitudes instead of the sums; the
+    same-qubit leak needs no map.
 
     The window holds every k within 4.4 sqrt(n) of the row's mean n small^2
     (one more step on each side covers the mode's offset from the mean), so
@@ -207,52 +205,20 @@ def _tail_split_sums(
     n <= 23 it covers all of 0..n.  Cost: O(sqrt(n)) per row, O(n) per call
     for the ratio tables.
     """
-    x = small / big
     # small^2 <= 1/2, so the mode floor((n+1) small^2) stays within 0..n;
     # the cast truncates, which floors a nonnegative value.
     mode = ((n + 1) * small_sq).astype(np.intp)
-
-    # The tables are indexed by k + pad so that steps past either end of
-    # 0..n read a zero ratio and leave w = 0 from there on.  A step that
-    # reads k = mode + j in every row gathers table[pad + j:] by the mode.
     half_width = math.ceil(_WINDOW * math.sqrt(n)) + 1
-    up_steps = min(half_width, n - int(mode.min(initial=n)))
-    down_steps = min(half_width, int(mode.max(initial=0)))
-    pad = max(up_steps, down_steps) + 1
-    k = np.arange(1, n + 1)
-    up = np.zeros(n + 1 + 2 * pad)  # w_k / w_{k-1} / x at k + pad
-    up[pad + 1 : pad + n + 1] = np.sqrt((n - k + 1) / k)
-    link = np.zeros_like(up)
-    link[pad + 1 : pad + n + 1] = np.sqrt(k * (n + 1 - k))
 
-    # mass, first moment relative to the mode, and cross, on O(rows) vectors;
-    # each walk starts from w = 1 at the mode
-    mass = np.ones_like(x)
-    offset = np.zeros_like(x)
-    cross = np.zeros_like(x)
-    w = 1.0
-    for step in range(1, up_steps + 1):
-        at = pad + step
-        next_w = w * up[at:].take(mode) * x
-        sq = next_w * next_w
+    # mass, first moment relative to the mode, and cross, on O(rows) vectors
+    mass = np.ones_like(big)
+    offset = np.zeros_like(big)
+    cross = np.zeros_like(big)
+    for j, w, prev, link in _mode_walk(n, big, small, mode, half_width):
+        sq = w * w
         mass += sq
-        offset += step * sq
-        cross += link[at:].take(mode) * next_w * w
-        w = next_w
-    if down_steps:
-        # Only rows with mode >= 1 step down, and they have small >= 1/sqrt(n+1).
-        inv_x = np.divide(big, small, out=np.zeros_like(big), where=mode > 0)
-        down = np.zeros_like(up)  # w_{k-1} / w_k * x at k + pad
-        down[pad + 1 : pad + n + 1] = 1.0 / up[pad + 1 : pad + n + 1]
-        w = 1.0
-        for step in range(down_steps):
-            at = pad - step
-            next_w = w * down[at:].take(mode) * inv_x
-            sq = next_w * next_w
-            mass += sq
-            offset -= (step + 1) * sq
-            cross += link[at:].take(mode) * next_w * w
-            w = next_w
+        offset += j * sq
+        cross += link * w * prev
 
     moment = mode * mass + offset  # sum_k k w_k^2
     scale = (n + 1) * mass

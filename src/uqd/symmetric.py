@@ -12,6 +12,9 @@ program positions and |t> is the tail qubit.  This module fixes the flat
 ordering of that 2(n+1)^2-dimensional basis and builds the state vectors and
 symmetric-subspace projectors everything downstream relies on.
 
+Every Dicke weight comes from one walk outward from the binomial mode,
+`_mode_walk`, over a whole row or over the leak kernel's window.
+
 Flat index convention: (l, m, t) -> l*2*(n+1) + m*2 + t, so each even label
 keeps its two tail settings adjacent.
 """
@@ -19,17 +22,13 @@ keeps its two tail settings adjacent.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# Direct binomial/power products stay comfortably inside float range up to
-# here; larger n switches the amplitude formulas to log space.
-_DIRECT_N_MAX = 60
 
 
 def _check_copies(n: int) -> None:
@@ -44,13 +43,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         raise ValueError(f"k must satisfy 0 <= k <= {n}, got {k}")
     return math.comb(n, k)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """log C(n, k) via lgamma, for amplitude formulas beyond exact-float range."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 @dataclass(frozen=True)
@@ -110,29 +102,75 @@ class ReducedIndex:
         return cls(l, m, t)
 
 
+def _mode_walk(
+    n: int, big: np.ndarray, small: np.ndarray, mode: np.ndarray, half_width: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk the Dicke weights w_k = sqrt(C(n,k)) big^(n-k) small^k of n
+    copies of the qubits (big, small) outward from their modes.
+
+    big >= small >= 0 are the larger and smaller half-angle amplitudes, so
+    x = small/big <= 1, and `mode` = floor((n+1) small^2) lies in 0..n.
+    Each row starts at its mode with w = 1 and steps by the ratio
+
+        w_k / w_{k-1} = sqrt((n-k+1)/k) x,
+
+    up to `half_width` steps up, then as many down.  No value overflows;
+    the common factor cancels once the caller divides by sum_k w_k^2.  A
+    step past either end of 0..n reads a zero ratio, and w stays 0 there.
+
+    Yields (j, w, prev, link) per step, each O(rows): w at k = mode + j,
+    prev the weight one step nearer the mode, and link = sqrt(k (n+1-k))
+    for the upper index k of that pair.
+    """
+    up_steps = min(half_width, n - int(mode.min(initial=n)))
+    down_steps = min(half_width, int(mode.max(initial=0)))
+    # Tables are indexed by k + pad, so a step that reads k = mode + j in
+    # every row gathers table[pad + j:] by the mode.
+    pad = max(up_steps, down_steps) + 1
+    k = np.arange(1, n + 1)
+    up = np.zeros(n + 1 + 2 * pad)  # w_k / w_{k-1} / x at k + pad
+    up[pad + 1 : pad + n + 1] = np.sqrt((n - k + 1) / k)
+    link = np.zeros_like(up)
+    link[pad + 1 : pad + n + 1] = np.sqrt(k * (n + 1 - k))
+    down = np.divide(1.0, up, out=np.zeros_like(up), where=up > 0)
+    # only rows with mode >= 1 step down, and they have small >= 1/sqrt(n+1)
+    inv_x = np.divide(big, small, out=np.zeros_like(big), where=mode > 0)
+
+    sides = ((1, up, small / big, up_steps), (-1, down, inv_x, down_steps))
+    for sign, ratio, factor, steps in sides:
+        w = 1.0
+        for step in range(1, steps + 1):
+            at = pad + sign * step + (sign < 0)  # upper index of the pair
+            next_w = w * ratio[at:].take(mode) * factor
+            yield sign * step, next_w, w, link[at:].take(mode)
+            w = next_w
+
+
 def dicke_magnitudes_batch(n: int, thetas: np.ndarray) -> np.ndarray:
     """Moduli of n-fold tensor-power Dicke coefficients, one row per angle.
 
-    Row entries are sqrt(C(n,k)) cos^{n-k}(theta/2) sin^k(theta/2) for
-    k = 0..n.  Uses log-space products once direct binomials would cost
-    float accuracy.
+    Row entries are sqrt(C(n,k)) |cos(theta/2)|^{n-k} |sin(theta/2)|^k for
+    k = 0..n: `_mode_walk` over the whole row, divided by its norm and
+    mirrored k -> n-k where sin > cos.  Within 1e-15 of exact arithmetic.
     """
     _check_copies(n)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    k = np.arange(n + 1)
-    c = np.cos(thetas / 2)[:, None]
-    s = np.sin(thetas / 2)[:, None]
-    if n <= _DIRECT_N_MAX:
-        root = np.sqrt([float(binomial(n, int(j))) for j in k])
-        return root * c ** (n - k) * s**k
-    half_log = 0.5 * np.array([log_binomial(n, int(j)) for j in k])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = (
-            half_log
-            + np.where(n - k == 0, 0.0, (n - k) * np.log(c))
-            + np.where(k == 0, 0.0, k * np.log(s))
-        )
-    return np.exp(log_mag)
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta must be finite")
+    c, s = np.abs(np.cos(thetas / 2)), np.abs(np.sin(thetas / 2))
+    small = np.minimum(c, s)
+    mode = ((n + 1) * small * small).astype(np.intp)
+    rows = np.arange(len(thetas))
+    w = np.zeros((len(thetas), n + 1))
+    w[rows, mode] = 1.0
+    for j, step_w, _, _ in _mode_walk(n, np.maximum(c, s), small, mode, n):
+        k = mode + j
+        inside = (k >= 0) & (k <= n)
+        w[rows[inside], k[inside]] = step_w[inside]
+    w /= np.sqrt(np.sum(w * w, axis=1, keepdims=True))
+    mirror = s > c
+    w[mirror] = w[mirror, ::-1]
+    return w
 
 
 def dicke_amplitudes_batch(

@@ -1,11 +1,13 @@
 """Combinatorics, Dicke amplitudes, reduced indexing, and projectors."""
 
+import functools
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqd.symmetric import (
@@ -19,8 +21,8 @@ from uqd.symmetric import (
     build_input_states,
     build_symmetric_projector,
     dicke_amplitudes,
+    dicke_amplitudes_batch,
     dicke_magnitudes_batch,
-    log_binomial,
     pair_projector,
     reduced_dim,
     tail_split_vectors,
@@ -59,16 +61,6 @@ def test_binomial_rejects_out_of_range():
         binomial(3, -1)
     with pytest.raises(ValueError):
         binomial(-2, 0)
-
-
-def test_log_binomial_matches_exact():
-    for n in (5, 20, 60, 200):
-        for k in range(0, n + 1, max(1, n // 7)):
-            assert math.isclose(
-                log_binomial(n, k), math.log(binomial(n, k)), rel_tol=1e-12
-            )
-    with pytest.raises(ValueError):
-        log_binomial(4, 5)
 
 
 def test_bloch_qubit_validation():
@@ -136,11 +128,14 @@ def test_dicke_amplitudes_equator():
     )
 
 
-@given(st.integers(min_value=1, max_value=20), thetas, phis)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=5000), thetas, phis)
+@example(5000, math.pi / 2, 0.0)
+@example(5000, 1.0, 2.0)
 def test_dicke_amplitudes_unit_norm(n, theta, phi):
     amps = dicke_amplitudes(BlochQubit(theta, phi), n)
     assert amps.shape == (n + 1,)
-    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-14
 
 
 def _dicke_vector(n, k):
@@ -161,17 +156,57 @@ def test_dicke_amplitudes_match_tensor_power(n, theta, phi):
     np.testing.assert_allclose(dicke_amplitudes(q, n), expected, atol=1e-12)
 
 
-def test_dicke_magnitudes_log_space_path():
-    # n = 61 exercises the lgamma branch; compare against exact binomials
-    n = 61
-    for theta in (0.0, 0.3, math.pi / 2, 2.9, math.pi):
-        row = dicke_magnitudes_batch(n, [theta])[0]
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        direct = [
-            math.sqrt(binomial(n, k)) * c ** (n - k) * s**k for k in range(n + 1)
-        ]
-        np.testing.assert_allclose(row, direct, atol=1e-11)
-        assert abs(np.linalg.norm(row) - 1.0) < 1e-10
+_PRECISION = 45  # decimal digits of the exact reference
+
+
+@functools.cache
+def _root_binomials(n):
+    """sqrt(C(n, k)) for k = 0..n as Decimals.  The exact integer row comes
+    from C(n, k) = C(n, k-1) (n-k+1) / k, which is quicker than one
+    `math.comb` per k at n = 5000; its middle entry is checked against it."""
+    row = [1]
+    for k in range(1, n + 1):
+        row.append(row[-1] * (n - k + 1) // k)
+    assert row[n // 2] == math.comb(n, n // 2)
+    with localcontext() as ctx:
+        ctx.prec = _PRECISION
+        return [ctx.create_decimal(c).sqrt() for c in row]
+
+
+def _exact_magnitudes(n, theta):
+    """The Dicke row of theta in decimal arithmetic.  The float pair
+    (cos(theta/2), sin(theta/2)) is normalised to unit norm first: its
+    squares do not sum to 1 exactly, and over n copies that alone would
+    shift the row by about n * 1e-16."""
+    with localcontext() as ctx:
+        ctx.prec = _PRECISION
+        c, s = Decimal(math.cos(theta / 2)), Decimal(math.sin(theta / 2))
+        norm = (c * c + s * s).sqrt()
+        c, s = c / norm, s / norm
+        one = Decimal(1)
+        return np.array([
+            float(root * (c ** (n - k) if k < n else one) * (s**k if k else one))
+            for k, root in enumerate(_root_binomials(n))
+        ])
+
+
+@pytest.mark.parametrize("n", [1, 60, 61, 500, 5000])
+def test_dicke_magnitudes_match_exact_reference(n):
+    rng = np.random.default_rng(60 + n)
+    angles = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0, math.pi, 4)])
+    rows = dicke_magnitudes_batch(n, angles)
+    assert rows.shape == (len(angles), n + 1)
+    for row, theta in zip(rows, angles):
+        assert np.max(np.abs(row - _exact_magnitudes(n, theta))) < 1e-15
+    assert np.max(np.abs(np.sum(rows * rows, axis=1) - 1.0)) < 1e-14
+
+
+def test_dicke_rows_reject_non_finite_angles():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            dicke_magnitudes_batch(5, [0.3, bad])
+        with pytest.raises(ValueError, match="theta must be finite"):
+            dicke_amplitudes_batch(70, [bad], [0.0])
 
 
 def test_reduced_state_shape_and_immutability():
@@ -282,7 +317,6 @@ def _edge_and_random_pairs():
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 60, 61, 100])
 @pytest.mark.parametrize("which", [1, 2])
 def test_input_states_match_kron_chain(n, which):
-    # the n values straddle the log-space switch of the Dicke amplitudes at 60
     firsts, seconds = _edge_and_random_pairs()
     rows = build_input_states(firsts, seconds, n, which)
     assert rows.shape == (len(firsts), reduced_dim(n))
