@@ -11,6 +11,7 @@ brute-force full-space oracle, and Monte Carlo validation.
 """
 
 from .symmetric import (
+    WALK_N_MAX,
     Block,
     BlochQubit,
     ReducedIndex,

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,6 +41,9 @@ def _unit_float(text: str) -> float:
     return value
 
 
+# Built on the first `main` call and reused by every later one.  The handlers
+# bound by set_defaults look their library calls up at call time.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
@@ -192,12 +196,20 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one `uqd` command line and return its exit code.
+
+    May be called any number of times in one process: the parser is built
+    once, on the first call, and each call prints only its own output.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
     except (ValueError, RuntimeError) as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"{TOOL_NAME}: number out of range: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"{TOOL_NAME}: out of memory: {exc}", file=sys.stderr)

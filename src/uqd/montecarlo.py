@@ -35,7 +35,7 @@ from .povm import (
     _symmetric_overlap,
     batch_success_probabilities,
 )
-from .symmetric import BlochQubit, _check_copies
+from .symmetric import BlochQubit, _check_copies, _check_walk_size
 from .strategy import DiscriminatorConfig, decide
 
 _LEAK_TOL = 1e-10
@@ -129,8 +129,9 @@ def mc_average_success(
     Each pair contributes its exact success probability, so the estimator
     targets (eta1 c1 + eta2 c2) n / (2(n+1)) directly.  error_events counts
     pairs whose cross-element leakage exceeds float tolerance; it must stay 0.
+    n is capped at WALK_N_MAX.
     """
-    _check_copies(n)
+    _check_walk_size(n)
     _check_samples(samples)
     if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
         raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")

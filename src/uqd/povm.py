@@ -38,6 +38,7 @@ from .symmetric import (
     ReducedOperator,
     ReducedState,
     _check_copies,
+    _check_walk_size,
     _mode_walk,
     build_input_state,
     build_symmetric_projector,
@@ -257,9 +258,10 @@ def projected_overlap_batch(
     where (c, s) are the tail's half-angle amplitudes and the three sums are
     those of `_tail_split_sums`, O(sqrt(n)) per pair within a dropped mass
     below 3e-17.  It shares no formula with the closed form, which makes it
-    the independent route the leak estimate relies on.
+    the independent route the leak estimate relies on.  n is capped at
+    WALK_N_MAX.
     """
-    _check_copies(n)
+    _check_walk_size(n)
     ct, st, cb, sb, cos_delta = _amplitudes(theta_tail, phi_tail, theta_block, phi_block)
     return _projected_overlap(n, cb, sb, ct, st, cos_delta)
 
@@ -325,9 +327,9 @@ def batch_success_probabilities(
     probability that the wrong conclusive element fires on input i, whose
     projected block and tail hold the same qubit; it is computed by the
     explicit projection of `projected_overlap_batch` at O(sqrt(n)) per pair
-    and should vanish to float precision.
+    and should vanish to float precision.  n is capped at WALK_N_MAX.
     """
-    _check_copies(n)
+    _check_walk_size(n)
     c1, s1, c2, s2, cos_delta = _amplitudes(theta1, phi1, theta2, phi2)
     return _pair_terms(n, params, np.stack((c1, c2)), np.stack((s1, s2)), cos_delta)
 

@@ -81,30 +81,41 @@ def optimal_c(n: int, eta1: float) -> tuple[float, float]:
     """Scale factors maximizing the average success of the two-scale family
     inside the validity window.
 
-    c1 = (n+1)^2/(2n+1) * (1 - n/(n+1) * sqrt((1-eta1)/eta1)); c2 swaps the
-    priors.  The pair saturates the positivity boundary.  Values are clamped
-    to [0, 1] against roundoff at the window edges.
+    c1 = (n+1)^2/(2n+1) * (1 - n/(n+1) * r) with r = sqrt((1-eta1)/eta1);
+    c2 swaps the priors.  The pair saturates the positivity boundary.  The
+    bracket is evaluated as 1 + n (1 - r), with 1 - r = (2 eta1 - 1) /
+    (eta1 (1 + r)), so nothing cancels and the error stays a few 1e-16 at
+    any n inside the window (the expanded form loses about n ulps).
+    Values are clamped to [0, 1] against roundoff at the window edges.
     """
     low, high = validity_range(n)
     if not low <= eta1 <= high:
         raise ValueError(
             f"eta1={eta1} outside the validity window [{low}, {high}] for n={n}"
         )
-    front = (n + 1) ** 2 / (2 * n + 1)
-    ratio = n / (n + 1)
-    c1 = front * (1.0 - ratio * math.sqrt((1.0 - eta1) / eta1))
-    c2 = front * (1.0 - ratio * math.sqrt(eta1 / (1.0 - eta1)))
+    front = (n + 1) / (2 * n + 1)
+    eta2 = 1.0 - eta1
+    # eta1 - eta2, exact inside the window, where 2 * eta2 - 1 could round
+    excess = 2.0 * eta1 - 1.0
+    c1 = front * (1.0 + n * excess / (eta1 * (1.0 + math.sqrt(eta2 / eta1))))
+    c2 = front * (1.0 - n * excess / (eta2 * (1.0 + math.sqrt(eta1 / eta2))))
     clamp = lambda c: min(1.0, max(0.0, c))
     return clamp(c1), clamp(c2)
 
 
 def avg_success_povm(n: int, eta1: float) -> float:
     """Average success of the best interior measurement of the two-scale
-    family, n/(4n+2) * (n + 1 - 2n sqrt(eta1 (1 - eta1)))."""
+    family, n/(4n+2) * (n + 1 - 2n sqrt(eta1 (1 - eta1))).
+
+    The bracket is evaluated as 1 + n (2 eta1 - 1)^2 / (1 + 2 sqrt(eta1 (1 -
+    eta1))), which cancels nothing at any n.
+    """
     _check_copies(n)
     if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
         raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")
-    return n / (4 * n + 2) * (n + 1 - 2 * n * math.sqrt(eta1 * (1.0 - eta1)))
+    excess = 2.0 * eta1 - 1.0
+    root = math.sqrt(eta1 * (1.0 - eta1))
+    return n / (4 * n + 2) * (1.0 + n * excess * excess / (1.0 + 2.0 * root))
 
 
 def avg_success_projective(n: int, eta1: float, which: int) -> float:

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import uqd.cli
 from uqd.cli import main
+from uqd.symmetric import WALK_N_MAX
 from uqd.fullspace import CheckResult, run_verification
 from uqd.povm import PovmParams
 from uqd.spectral import closed_form_extreme_eigenvalues
@@ -281,3 +286,92 @@ def test_verify_json_failure_writes_null_and_exits_1(capsys, monkeypatch):
 def test_verify_cap(capsys):
     assert _run_usage_error(capsys, ["verify", "--n-max", "9"]) == 2
     assert _run_usage_error(capsys, ["verify", "--n-max", "0"]) == 2
+
+
+def test_optimize_at_huge_n_keeps_its_limit(capsys):
+    # the expanded closed forms cancelled to c1 = c2 = 0.555 and 0.0 here
+    code, out, _ = _run(capsys, ["optimize", "--n", str(10**16), "--eta1", "0.5"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["regime"] == "povm"
+    assert abs(payload["c1"] - 0.5) < 1e-15 and abs(payload["c2"] - 0.5) < 1e-15
+    assert abs(payload["avg_success"] - 0.25) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--n", "1" + "0" * 400, "--eta1", "0.5"],
+        ["sweep", "--n", "1" + "0" * 400, "--points", "3", "--out", os.devnull],
+        ["montecarlo", "--n", "1" + "0" * 30, "--eta1", "0.5", "--samples", "1000"],
+        ["montecarlo", "--n", str(WALK_N_MAX + 1), "--eta1", "0.5", "--samples", "1000"],
+    ],
+)
+def test_huge_n_exits_1_with_one_line(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("uqd: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _subcommands(tmp_path):
+    return [
+        ["optimize", "--n", "3", "--eta1", "0.47"],
+        ["sweep", "--n", "3", "--points", "11", "--out", str(tmp_path / "sweep.csv")],
+        ["spectrum", "--n", "3", "--c1", "0.5", "--c2", "0.6"],
+        ["montecarlo", "--n", "3", "--eta1", "0.5", "--samples", "1000", "--seed", "4"],
+        ["verify", "--n-max", "1"],
+        ["verify", "--n-max", "1", "--json"],
+    ]
+
+
+def test_repeated_calls_in_one_process_print_the_same_bytes(tmp_path, capsys):
+    first = [_run(capsys, argv) for argv in _subcommands(tmp_path)]
+    sweep_csv = (tmp_path / "sweep.csv").read_bytes()
+    # a usage error and a runtime failure leave nothing behind in the parser
+    assert _run_usage_error(capsys, ["optimize", "--n", "0", "--eta1", "0.5"]) == 2
+    assert _run_usage_error(capsys, ["spectrum", "--n", "2"]) == 2
+    code, _, err = _run(capsys, ["spectrum", "--n", "100000", "--c1", "0.5", "--c2", "0.5"])
+    assert code == 1 and err.startswith("uqd: ")
+    second = [_run(capsys, argv) for argv in _subcommands(tmp_path)]
+    assert [code for code, _, _ in first] == [0] * len(first)
+    assert second == first
+    assert (tmp_path / "sweep.csv").read_bytes() == sweep_csv
+
+
+def _subprocess_env():
+    src = str(pathlib.Path(uqd.cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_spectrum_in_process_matches_a_fresh_interpreter(capsys):
+    argv = ["spectrum", "--n", "4", "--c1", "0.55", "--c2", "0.5"]
+    code, out, _ = _run(capsys, argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "uqd.cli", *argv],
+        capture_output=True,
+        env=_subprocess_env(),
+        check=True,
+    )
+    assert code == 0
+    assert fresh.stdout == out.encode()
+
+
+def test_parser_is_built_once_and_not_at_import(capsys):
+    probe = "import uqd.cli; print(uqd.cli._build_parser.cache_info().misses)"
+    fresh = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+        check=True,
+    )
+    assert fresh.stdout == "0\n"
+
+    uqd.cli._build_parser.cache_clear()
+    _run(capsys, ["optimize", "--n", "2", "--eta1", "0.5"])
+    _run(capsys, ["spectrum", "--n", "1", "--c1", "0.5", "--c2", "0.5"])
+    info = uqd.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -31,6 +31,7 @@ from uqd.povm import (
     total_success,
 )
 from uqd.symmetric import (
+    WALK_N_MAX,
     BlochQubit,
     build_input_state,
     build_input_states,
@@ -486,6 +487,27 @@ def test_leak_at_huge_n_builds_no_magnitude_table():
     # one (rows, n+1) float table would take 80 MB; the ratio tables are O(n)
     table_bytes = len(theta1) * (n + 1) * 8
     assert peak < table_bytes / 8
+
+
+@pytest.mark.parametrize("n", [WALK_N_MAX + 1, 2**62, 10**30])
+def test_walk_cap_refuses_before_allocating(n):
+    # at WALK_N_MAX + 1 the walk's ratio tables alone would take 320 MB
+    params = PovmParams(0.5, 0.5)
+    theta, phi = np.full(4, 1.0), np.full(4, 0.5)
+    calls = [
+        lambda: batch_success_probabilities(n, params, theta, phi, theta, phi),
+        lambda: projected_overlap_batch(n, theta, phi, theta, phi),
+        lambda: mc_average_success(n, params, 0.5, 10**6, 1),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="capped"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def test_leak_check_sees_a_dropped_cross_term(monkeypatch):

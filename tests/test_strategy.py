@@ -1,6 +1,7 @@
 """Validity window, closed-form optima, and the piecewise regime choice."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, given, settings
@@ -87,6 +88,34 @@ def test_optimal_c_mirror_symmetry(n, fraction):
     swapped = optimal_c(n, 1.0 - eta1)
     assert abs(swapped[0] - c2) < 1e-12
     assert abs(swapped[1] - c1) < 1e-12
+
+
+def _decimal_optimum(n, eta1):
+    """(c1, c2, avg_success) of the expanded closed forms in 80-digit decimal
+    arithmetic at the exact value of the float eta1, scales clamped to [0, 1]."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        e1, big = Decimal(eta1), Decimal(n)
+        e2 = 1 - e1
+        front = (big + 1) ** 2 / (2 * big + 1)
+        ratio = big / (big + 1)
+        clamp = lambda c: min(Decimal(1), max(Decimal(0), c))
+        return (
+            clamp(front * (1 - ratio * (e2 / e1).sqrt())),
+            clamp(front * (1 - ratio * (e1 / e2).sqrt())),
+            big / (4 * big + 2) * (big + 1 - 2 * big * (e1 * e2).sqrt()),
+        )
+
+
+@pytest.mark.parametrize("n", [1, 10**3, 10**6, 10**9, 10**12, 10**15])
+@pytest.mark.parametrize("fraction", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_closed_forms_match_a_decimal_reference_at_large_n(n, fraction):
+    # evaluated as written, both forms cancel about n ulps: 4.6e-11 at n = 10^6
+    low, high = validity_range(n)
+    eta1 = low + fraction * (high - low)
+    got = (*optimal_c(n, eta1), avg_success_povm(n, eta1))
+    for value, want in zip(got, _decimal_optimum(n, eta1)):
+        assert abs(Decimal(value) - want) < Decimal("1e-15")
 
 
 def test_avg_success_povm_balanced_values():
