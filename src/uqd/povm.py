@@ -82,7 +82,7 @@ def build_povm(n: int, params: PovmParams) -> PovmTriple:
     _check_copies(n)
     p_even = build_symmetric_projector(n, Block.EVEN_TAIL).entries
     p_odd = build_symmetric_projector(n, Block.ODD_TAIL).entries
-    eye = np.eye(reduced_dim(n), dtype=complex)
+    eye = np.eye(reduced_dim(n))
     pi1 = params.c1 * (eye - p_even)
     pi2 = params.c2 * (eye - p_odd)
     pi0 = eye - pi1 - pi2
@@ -130,11 +130,15 @@ def _amplitudes(
     """
     theta_a = np.atleast_1d(np.asarray(theta_a, dtype=float))
     theta_b = np.atleast_1d(np.asarray(theta_b, dtype=float))
+    phi_a = np.asarray(phi_a, dtype=float)
+    phi_b = np.asarray(phi_b, dtype=float)
     if not (np.isfinite(theta_a).all() and np.isfinite(theta_b).all()):
         raise ValueError("theta must be finite")
+    if not (np.isfinite(phi_a).all() and np.isfinite(phi_b).all()):
+        raise ValueError("phi must be finite")
     ca, sa = np.cos(theta_a / 2), np.sin(theta_a / 2)
     cb, sb = np.cos(theta_b / 2), np.sin(theta_b / 2)
-    cos_delta = np.cos(np.asarray(phi_a, dtype=float) - phi_b) * np.sign(ca * sa * cb * sb)
+    cos_delta = np.cos(phi_a - phi_b) * np.sign(ca * sa * cb * sb)
     return np.abs(ca), np.abs(sa), np.abs(cb), np.abs(sb), cos_delta
 
 

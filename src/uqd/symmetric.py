@@ -62,7 +62,8 @@ def binomial(n: int, k: int) -> int:
 class BlochQubit:
     """Pure qubit cos(theta/2)|0> + sin(theta/2) e^{i phi} |1>.
 
-    theta must lie in [0, pi]; phi is stored reduced modulo 2 pi.
+    theta must lie in [0, pi]; phi must be finite and is stored reduced
+    modulo 2 pi.
     """
 
     theta: float
@@ -72,8 +73,11 @@ class BlochQubit:
         theta = float(self.theta)
         if not 0.0 <= theta <= math.pi or math.isnan(theta):
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {self.phi!r}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", phi % TWO_PI)
 
     def amplitudes(self) -> np.ndarray:
         """Two-component state vector (coefficients of |0> and |1>)."""
@@ -191,6 +195,8 @@ def dicke_amplitudes_batch(
 ) -> np.ndarray:
     """Complex Dicke coefficients for batches of (theta, phi)."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    if not np.isfinite(phis).all():
+        raise ValueError("phi must be finite")
     k = np.arange(n + 1)
     return dicke_magnitudes_batch(n, thetas) * np.exp(1j * k * phis[:, None])
 
@@ -228,7 +234,8 @@ class ReducedState:
 
 @dataclass(frozen=True)
 class ReducedOperator:
-    """Hermitian operator on the reduced basis, stored dense."""
+    """Real symmetric operator on the reduced basis, stored dense as float64;
+    complex or non-finite entries are refused."""
 
     n: int
     entries: np.ndarray
@@ -236,15 +243,19 @@ class ReducedOperator:
     def __post_init__(self) -> None:
         _check_copies(self.n)
         dim = reduced_dim(self.n)
-        mat = np.array(self.entries, dtype=complex)
+        if np.iscomplexobj(self.entries):
+            raise ValueError("operator entries must be real")
+        mat = np.array(self.entries, dtype=float)
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"entries must have shape ({dim}, {dim}) for n={self.n}, "
                 f"got {mat.shape}"
             )
-        defect = float(np.max(np.abs(mat - mat.conj().T)))
+        if not np.isfinite(mat).all():
+            raise ValueError("operator entries must be finite")
+        defect = float(np.max(np.abs(mat - mat.T)))
         if defect > 1e-12:
-            raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
+            raise ValueError(f"operator is not symmetric (defect {defect:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 

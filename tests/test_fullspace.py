@@ -1,5 +1,6 @@
 """Brute-force tensor-product oracle versus the reduced-basis engine."""
 
+import itertools
 import math
 
 import numpy as np
@@ -102,6 +103,77 @@ def test_full_projector_position_validation():
         symmetric_projector_full(2, (1, 1, 2))
     with pytest.raises(ValueError):
         symmetric_projector_full(2, (4, 5, 6))
+
+
+def _bit_weight(position, n):
+    # position 1 is the most significant bit of the flat index
+    return 1 << (2 * n + 1 - position)
+
+
+def _loop_projector_full(n, positions):
+    # reference by enumeration: for each inside excitation count k and each
+    # setting of the outside bits, add 1/C(n+1, k) on the block of indices
+    inside = tuple(sorted(positions))
+    outside = [p for p in range(1, 2 * n + 2) if p not in inside]
+    dim = full_dim(n)
+    projector = np.zeros((dim, dim))
+    inside_weights = [_bit_weight(p, n) for p in inside]
+    outside_weights = [_bit_weight(p, n) for p in outside]
+    for k in range(n + 2):
+        combos = list(itertools.combinations(inside_weights, k))
+        share = 1.0 / len(combos)
+        offsets = np.array([sum(c) for c in combos], dtype=int)
+        for rest in itertools.product((0, 1), repeat=len(outside_weights)):
+            base = sum(w for w, bit in zip(outside_weights, rest) if bit)
+            idx = offsets + base
+            projector[np.ix_(idx, idx)] += share
+    return projector
+
+
+def _loop_reduced_basis(n):
+    # reference by enumeration of each column's odd and even bit choices
+    odd_w = [_bit_weight(p, n) for p in odd_positions(n)]
+    even_w = [_bit_weight(p, n) for p in even_positions(n)]
+    tail_w = _bit_weight(tail_position(n), n)
+    matrix = np.zeros((full_dim(n), reduced_dim(n)))
+    column = 0
+    for l in range(n + 1):
+        odd_combos = list(itertools.combinations(odd_w, l))
+        for m in range(n + 1):
+            even_combos = list(itertools.combinations(even_w, m))
+            amp = 1.0 / math.sqrt(math.comb(n, l) * math.comb(n, m))
+            for t in (0, 1):
+                base = tail_w if t else 0
+                for oc in odd_combos:
+                    for ec in even_combos:
+                        matrix[sum(oc) + sum(ec) + base, column] = amp
+                column += 1
+    return matrix
+
+
+@pytest.mark.parametrize("n", range(1, FULL_N_MAX + 1))
+def test_dense_builders_equal_loop_references(n):
+    tail = (tail_position(n),)
+    for positions in (even_positions(n) + tail, odd_positions(n) + tail):
+        dense = symmetric_projector_full(n, positions)
+        assert dense.dtype == np.float64
+        assert np.array_equal(dense, _loop_projector_full(n, positions))
+    embedding = reduced_basis_matrix(n)
+    assert embedding.dtype == np.float64
+    assert np.array_equal(embedding, _loop_reduced_basis(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_dense_projector_equals_loop_reference_on_any_group(data):
+    n = data.draw(st.integers(min_value=1, max_value=FULL_N_MAX), label="n")
+    positions = data.draw(
+        st.permutations(range(1, 2 * n + 2)).map(lambda p: tuple(p[: n + 1])),
+        label="positions",
+    )
+    dense = symmetric_projector_full(n, positions)
+    assert dense.dtype == np.float64
+    assert np.array_equal(dense, _loop_projector_full(n, positions))
 
 
 def _assert_apply_matches_dense(n, positions, rng):

@@ -57,6 +57,8 @@ def test_params_validation():
 @given(st.integers(min_value=1, max_value=4), scales, scales)
 def test_completeness(n, c1, c2):
     triple = build_povm(n, PovmParams(c1, c2))
+    for element in (triple.pi1, triple.pi2, triple.pi0):
+        assert element.entries.dtype == np.float64
     total = triple.pi1.entries + triple.pi2.entries + triple.pi0.entries
     assert np.max(np.abs(total - np.eye(reduced_dim(n)))) < 1e-12
 
@@ -559,6 +561,21 @@ def test_angles_outside_zero_pi(n):
     assert np.max(np.abs(leak1)) < 1e-13 and np.max(np.abs(leak2)) < 1e-13
     with pytest.raises(ValueError):
         batch_success_probabilities(n, PovmParams(1.0, 1.0), [math.nan], [0.0], [1.0], [0.0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_batch_routes_reject_non_finite_phi(bad):
+    # a non-finite phi would give NaN probabilities, not an error
+    params = PovmParams(0.5, 0.5)
+    thetas, good = [0.4, 1.1], [0.2, 0.3]
+    for phis in ([0.2, bad], [bad, 0.3]):
+        for args in ((thetas, phis, thetas, good), (thetas, good, thetas, phis)):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                symmetric_overlap_batch(3, *args)
+            with pytest.raises(ValueError, match="phi must be finite"):
+                projected_overlap_batch(3, *args)
+            with pytest.raises(ValueError, match="phi must be finite"):
+                batch_success_probabilities(3, params, *args)
 
 
 def test_overlap_batch_shapes():

@@ -16,6 +16,7 @@ from uqd.spectral import (
     FEASIBLE_TOL,
     SECTOR_N_MAX,
     BlockStructureError,
+    ColumnLabel,
     _count_below,
     build_transform,
     closed_form_extreme_eigenvalues,
@@ -27,7 +28,7 @@ from uqd.spectral import (
     spectrum_report,
     transformed_pi0,
 )
-from uqd.symmetric import ReducedIndex, reduced_dim
+from uqd.symmetric import ReducedIndex, reduced_dim, tail_split_vectors
 
 scales = st.floats(min_value=0.0, max_value=1.0)
 generic_scales = st.floats(min_value=0.05, max_value=1.0)
@@ -61,6 +62,46 @@ def test_transform_is_orthogonal(n):
     assert v.shape == (dim, dim)
     np.testing.assert_allclose(v.T @ v, np.eye(dim), atol=1e-12)
     np.testing.assert_allclose(v @ v.T, np.eye(dim), atol=1e-12)
+
+
+def _column_loop_transform(n):
+    # reference that places one column at a time, in the documented order
+    dim = reduced_dim(n)
+    width = 2 * (n + 1)
+    splits = tail_split_vectors(n)
+    columns, labels = [], []
+
+    def add(l, pair_coeffs, label):
+        col = np.zeros(dim)
+        col[l * width : (l + 1) * width] = pair_coeffs
+        columns.append(col)
+        labels.append(label)
+
+    for l in range(n + 1):
+        for m in range(1, n + 1):
+            add(l, splits[m], ColumnLabel("eta", l, m))
+    for l in range(n + 1):
+        for m in range(1, n + 1):
+            chi = np.zeros(width)
+            chi[2 * m] = math.sqrt(m / (n + 1))
+            chi[2 * (m - 1) + 1] = -math.sqrt((n + 1 - m) / (n + 1))
+            add(l, chi, ColumnLabel("chi", l, m))
+    for l in range(n + 1):
+        add(l, splits[0], ColumnLabel("eta", l, 0))
+    for l in range(n + 1):
+        add(l, splits[n + 1], ColumnLabel("eta", l, n + 1))
+    return np.column_stack(columns), tuple(labels)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_transform_equals_column_loop(n):
+    basis = build_transform(n)
+    vectors, labels = _column_loop_transform(n)
+    assert basis.vectors.dtype == np.float64
+    assert np.array_equal(basis.vectors, vectors)
+    assert basis.labels == labels
+    pi0 = transformed_pi0(build_povm(n, PovmParams(0.3, 0.4)), basis).entries
+    assert pi0.dtype == np.float64
 
 
 def test_transform_preserves_norms():
@@ -272,6 +313,9 @@ def test_extract_blocks_rejects_broken_structure():
         extract_blocks(bad, basis)
     with pytest.raises(ValueError):
         extract_blocks(np.triu(np.ones_like(bad)), basis)
+    # a complex array is refused even when its imaginary part is zero
+    with pytest.raises(ValueError, match="real"):
+        extract_blocks(good.entries.astype(complex), basis)
 
 
 @pytest.mark.parametrize("c2", [0.0, 1e-12])

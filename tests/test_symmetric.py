@@ -207,6 +207,15 @@ def test_dicke_rows_reject_non_finite_angles():
             dicke_magnitudes_batch(5, [0.3, bad])
         with pytest.raises(ValueError, match="theta must be finite"):
             dicke_amplitudes_batch(70, [bad], [0.0])
+        with pytest.raises(ValueError, match="phi must be finite"):
+            dicke_amplitudes_batch(5, [0.3, 1.2], [0.1, bad])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_bloch_qubit_rejects_non_finite_phi(bad):
+    # phi % 2 pi would store nan for an infinite phi
+    with pytest.raises(ValueError, match="phi must be finite"):
+        BlochQubit(0.3, bad)
 
 
 def test_reduced_state_shape_and_immutability():
@@ -224,8 +233,37 @@ def test_reduced_operator_requires_hermitian():
     mat[0, 1] = 1e-6
     with pytest.raises(ValueError):
         ReducedOperator(1, mat)
+    with pytest.raises(ValueError, match="not symmetric"):
+        ReducedOperator(1, mat.real)
     with pytest.raises(ValueError):
         ReducedOperator(1, np.eye(3))
+
+
+def test_reduced_operator_stores_real_entries():
+    dim = reduced_dim(1)
+    op = ReducedOperator(1, np.eye(dim, dtype=np.float32).tolist())
+    assert op.entries.dtype == np.float64
+    assert np.array_equal(op.entries, np.eye(dim))
+    # a Hermitian but complex operator is not one of the measurement's
+    mat = np.eye(dim, dtype=complex)
+    mat[0, 1], mat[1, 0] = 0.5j, -0.5j
+    tiny = np.eye(dim, dtype=complex)
+    tiny[2, 2] += 1e-300j
+    for bad in (mat, tiny.tolist(), np.eye(dim, dtype=complex)):
+        with pytest.raises(ValueError, match="must be real"):
+            ReducedOperator(1, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reduced_operator_rejects_non_finite_entries(bad):
+    dim = reduced_dim(1)
+    diagonal = np.eye(dim)
+    diagonal[0, 0] = bad
+    off_diagonal = np.eye(dim)
+    off_diagonal[0, 1] = off_diagonal[1, 0] = bad
+    for mat in (diagonal, off_diagonal):
+        with pytest.raises(ValueError, match="must be finite"):
+            ReducedOperator(1, mat)
 
 
 def test_tail_split_vectors_orthonormal_rows():
@@ -256,8 +294,9 @@ def test_pair_projector_is_projector():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_symmetric_projector_idempotent_with_expected_rank(n, block):
     p = build_symmetric_projector(n, block).entries
+    assert p.dtype == np.float64
     np.testing.assert_allclose(p @ p, p, atol=1e-10)
-    assert abs(np.trace(p).real - (n + 1) * (n + 2)) < 1e-9
+    assert abs(np.trace(p) - (n + 1) * (n + 2)) < 1e-9
 
 
 def _label_swap(n):
