@@ -75,6 +75,7 @@ from .montecarlo import (
     mc_average_success,
     mc_projector_mean,
     sample_qubit,
+    sample_qubits,
     simulate_outcomes,
 )
 

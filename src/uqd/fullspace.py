@@ -9,25 +9,32 @@ The verification pass never stores a full-space operator.
 `apply_symmetric_projector` applies a block-plus-tail projector to a batch of
 states: one flat index permutation gathers the n+1 projected qubits to the
 front, D^T D multiplies them, where D holds the n+2 normalised Dicke rows
-enumerated by popcount, and the inverse permutation gathers them back.
+enumerated by popcount, and the inverse permutation gathers them back.  The
+two permutations and D form the group's plan, built once per (n, sorted
+group) and kept read-only in a bounded cache that holds every production
+group.  The whole-space checks apply both projectors to every basis column,
+in batches of `_BASIS_DOUBLES` doubles (512 KB) so that a batch's arrays
+stay in a 4 MB L2 cache; the batch size does not change any result.
 The dense references are array passes over the bit table and `math.comb`:
 `symmetric_projector_full` compares keys (outside bits, inside popcount),
 and `reduced_basis_matrix` writes the index map of the reduced basis into
 a dense view.  The reduced side the pass checks is built in one batched
-call per (n, which).  The oracle is capped at n <= 5 (dimension 2048);
-`run_verification(5)` runs all 55 checks in about 0.22 s on a 2-core VM,
-most of it in projector applies.
+call per (n, which), from one table of sampled qubits per n.  The oracle is
+capped at n <= 5 (dimension 2048); `run_verification(5)` runs all 55 checks
+in about 0.23 s on a 2-core VM, about a third of it in the whole-space
+checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import sample_qubit
+from .montecarlo import sample_qubits
 from .povm import (
     PovmParams,
     build_povm,
@@ -161,6 +168,25 @@ def _front_order(n: int, inside: tuple[int, ...]) -> np.ndarray:
     return front.reshape(-1)
 
 
+@functools.lru_cache(maxsize=2 * FULL_N_MAX)
+def _projector_plan(
+    n: int, inside: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, inverse, dicke) of the apply for one sorted group, built once
+    and read-only: the `_front_order` gather, its inverse permutation and the
+    (n+2, 2^(n+1)) matrix D of normalised Dicke rows.  The cache holds the
+    2 FULL_N_MAX production groups."""
+    order = _front_order(n, inside)
+    inverse = np.argsort(order)
+    popcount = np.array([bin(b).count("1") for b in range(2 ** (n + 1))])
+    counts = np.arange(n + 2)
+    scale = np.array([math.comb(n + 1, k) for k in range(n + 2)], dtype=float)
+    dicke = (popcount[None, :] == counts[:, None]) / np.sqrt(scale)[:, None]
+    for table in (order, inverse, dicke):
+        table.setflags(write=False)
+    return order, inverse, dicke
+
+
 def apply_symmetric_projector(
     n: int, positions: tuple[int, ...], states: np.ndarray
 ) -> np.ndarray:
@@ -179,16 +205,11 @@ def apply_symmetric_projector(
         raise ValueError(
             f"states must have last axis {full_dim(n)}, got shape {states.shape}"
         )
-    order = _front_order(n, inside)
+    order, inverse, dicke = _projector_plan(n, inside)
     gathered = np.take(states, order, axis=-1).reshape(-1, 2 ** (n + 1), 2**n)
-
-    popcount = np.array([bin(b).count("1") for b in range(2 ** (n + 1))])
-    counts = np.arange(n + 2)
-    scale = np.array([math.comb(n + 1, k) for k in range(n + 2)], dtype=float)
-    dicke = (popcount[None, :] == counts[:, None]) / np.sqrt(scale)[:, None]
     projected = (dicke.T @ (dicke @ gathered)).reshape(states.shape)
     # a second gather, not a scatter into `order`, which measured slower
-    return np.take(projected, np.argsort(order), axis=-1)
+    return np.take(projected, inverse, axis=-1)
 
 
 def symmetric_projector_full(n: int, positions: tuple[int, ...]) -> np.ndarray:
@@ -271,9 +292,11 @@ class CheckResult:
         }
 
 
-# identity columns per projector application in the whole-space checks;
-# 256 rows of 2048 doubles keep each chunk at 4 MB
-_BASIS_CHUNK = 256
+# doubles per identity-column batch of the whole-space checks: a batch is
+# max(1, _BASIS_DOUBLES // dim) columns, 32 (512 KB) at n = 5 and every column
+# at n <= 3, so the half-dozen such arrays one batch keeps live fit a 4 MB L2
+# cache, which 256-column (4 MB) batches did not
+_BASIS_DOUBLES = 2**16
 
 # qubit pairs sampled per n, and the seed of the one generator they come from
 VERIFY_PAIRS = 100
@@ -283,6 +306,36 @@ VERIFY_SEED = 2024
 def _expectations(states: np.ndarray, applied: np.ndarray) -> np.ndarray:
     """Re <psi|A psi> per row, given the rows psi and A psi."""
     return np.real(np.sum(states.conj() * applied, axis=-1))
+
+
+def _whole_space_checks(
+    n: int, even_tail: tuple[int, ...], odd_tail: tuple[int, ...]
+) -> tuple[float, float, float]:
+    """(idempotence deviation of P_even, trace of P_even, trace of P_odd),
+    with both projectors applied to every basis column, a batch of columns
+    at a time.  Each column's arithmetic does not depend on the batch, and
+    neither `max` nor `math.fsum` on the order, so the results do not
+    depend on the batch size."""
+    dim = full_dim(n)
+    batch = max(1, _BASIS_DOUBLES // dim)
+    idem = 0.0
+    even_diagonal: list[np.ndarray] = []
+    odd_diagonal: list[np.ndarray] = []
+    for start in range(0, dim, batch):
+        rows = np.arange(min(batch, dim - start))
+        columns = np.zeros((len(rows), dim))
+        columns[rows, start + rows] = 1.0
+        p_even = apply_symmetric_projector(n, even_tail, columns)
+        p_odd = apply_symmetric_projector(n, odd_tail, columns)
+        twice = apply_symmetric_projector(n, even_tail, p_even)
+        idem = max(idem, float(np.max(np.abs(twice - p_even))))
+        even_diagonal.append(p_even[rows, start + rows])
+        odd_diagonal.append(p_odd[rows, start + rows])
+    return (
+        idem,
+        math.fsum(np.concatenate(even_diagonal)),
+        math.fsum(np.concatenate(odd_diagonal)),
+    )
 
 
 def run_verification(n_max: int) -> list[CheckResult]:
@@ -296,7 +349,6 @@ def run_verification(n_max: int) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     for n in range(1, n_max + 1):
-        dim = full_dim(n)
         embedding = reduced_basis_matrix(n)
         gram = embedding.T @ embedding
         results.append(
@@ -315,25 +367,12 @@ def run_verification(n_max: int) -> list[CheckResult]:
             2: build_symmetric_projector(n, Block.ODD_TAIL).entries,
         }
 
-        # both checks run over every basis column, a chunk of columns at a time
-        idem = 0.0
-        even_diagonal: list[np.ndarray] = []
-        odd_diagonal: list[np.ndarray] = []
-        for start in range(0, dim, _BASIS_CHUNK):
-            rows = np.arange(min(_BASIS_CHUNK, dim - start))
-            columns = np.zeros((len(rows), dim))
-            columns[rows, start + rows] = 1.0
-            p_even = apply_symmetric_projector(n, even_tail, columns)
-            p_odd = apply_symmetric_projector(n, odd_tail, columns)
-            twice = apply_symmetric_projector(n, even_tail, p_even)
-            idem = max(idem, float(np.max(np.abs(twice - p_even))))
-            even_diagonal.append(p_even[rows, start + rows])
-            odd_diagonal.append(p_odd[rows, start + rows])
+        idem, even_trace, odd_trace = _whole_space_checks(n, even_tail, odd_tail)
         results.append(CheckResult(f"n={n} full projector idempotent", idem, 1e-10))
 
         trace_dev = max(
-            abs(math.fsum(np.concatenate(even_diagonal)) - (n + 2) * 2**n),
-            abs(math.fsum(np.concatenate(odd_diagonal)) - (n + 2) * 2**n),
+            abs(even_trace - (n + 2) * 2**n),
+            abs(odd_trace - (n + 2) * 2**n),
             abs(float(np.trace(p_red[1])) - (n + 1) * (n + 2)),
             abs(float(np.trace(p_red[2])) - (n + 1) * (n + 2)),
         )
@@ -343,7 +382,7 @@ def run_verification(n_max: int) -> list[CheckResult]:
         scales = {1: params.c1, 2: params.c2}
         triple = build_povm(n, params)
 
-        qubits = [sample_qubit(rng) for _ in range(2 * VERIFY_PAIRS)]
+        qubits = sample_qubits(rng, 2 * VERIFY_PAIRS)
         firsts, seconds = qubits[0::2], qubits[1::2]
         embed_dev = 0.0
         overlap_dev = 0.0
@@ -476,7 +515,7 @@ def _block_check(n: int, params: PovmParams, embedding: np.ndarray) -> CheckResu
 
     # pi0_full = (1 - c1 - c2) I + c1 P_even + c2 P_odd, applied to the
     # columns of E (held as rows)
-    images = embedding.T
+    images = np.ascontiguousarray(embedding.T)
     even_tail = even_positions(n) + (tail_position(n),)
     odd_tail = odd_positions(n) + (tail_position(n),)
     pi0_images = (

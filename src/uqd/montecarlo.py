@@ -5,8 +5,8 @@ counter-based Philox stream.  One map turns two uniforms (u, v) into a qubit:
 cos(theta) = 2u - 1 is uniform on [-1, 1] exactly when cos^2(theta/2) = u is
 uniform on [0, 1], so the half-angle amplitudes are c = sqrt(u) and
 s = sqrt(1 - u), and phi = 2 pi v.  The sampled averages therefore need no
-arccos and no trigonometry of theta; `sample_qubit` goes through the same
-map and recovers theta = 2 atan2(s, c).
+arccos and no trigonometry of theta; `sample_qubit` and `sample_qubits` go
+through the same map and recover theta = 2 atan2(s, c).
 
 Draws are taken chunk by chunk from one generator, row-major, so sample i
 consumes row i of the draw table whatever the chunk size: seeded results do
@@ -58,8 +58,19 @@ def _bloch_amplitudes(
 
 def sample_qubit(rng: np.random.Generator) -> BlochQubit:
     """One Bloch-uniform qubit."""
-    c, s, phi = _bloch_amplitudes(*rng.random(2))
-    return BlochQubit(2 * math.atan2(s, c), phi)
+    return sample_qubits(rng, 1)[0]
+
+
+def sample_qubits(rng: np.random.Generator, count: int) -> list[BlochQubit]:
+    """`count` Bloch-uniform qubits from one (count, 2) draw table: the same
+    stream, and the same qubits, as `count` calls of `sample_qubit`, since
+    row i of the table is the pair of draws of call i."""
+    u = rng.random((count, 2))
+    c, s, phi = _bloch_amplitudes(u[:, 0], u[:, 1])
+    return [
+        BlochQubit(2 * math.atan2(si, ci), p)
+        for ci, si, p in zip(c.tolist(), s.tolist(), phi.tolist())
+    ]
 
 
 # Rows per chunk.  A chunk's temporaries are O(rows) vectors at any n, so

@@ -99,7 +99,11 @@ def success_probabilities(
     amplitudes: np.ndarray, triple: PovmTriple, which: int
 ) -> np.ndarray:
     """`success_probability` for reduced states held as the rows of
-    `amplitudes`, shape (states, 2(n+1)^2): Re <psi|pi_which|psi> per row."""
+    `amplitudes`, shape (states, 2(n+1)^2): Re <psi|pi_which|psi> per row.
+
+    The operator is real, so complex rows take one real product per part,
+    Re <psi|A psi> = <re|A re> + <im|A im>, and A is never cast to complex.
+    """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     amplitudes = np.asarray(amplitudes)
@@ -110,7 +114,12 @@ def success_probabilities(
             f"n={triple.n}, got {amplitudes.shape}"
         )
     op = (triple.pi1 if which == 1 else triple.pi2).entries
-    return np.real(np.sum(amplitudes.conj() * (amplitudes @ op.T), axis=-1))
+    parts = (
+        (amplitudes.real, amplitudes.imag)
+        if np.iscomplexobj(amplitudes)
+        else (amplitudes,)
+    )
+    return sum(np.sum(part * (part @ op.T), axis=-1) for part in parts)
 
 
 def success_probability(state: ReducedState, triple: PovmTriple, which: int) -> float:

@@ -262,6 +262,60 @@ def test_gather_order_is_not_its_own_inverse(n):
         assert not np.array_equal(order[order], identity)
 
 
+def _production_groups(n):
+    tail = (tail_position(n),)
+    return even_positions(n) + tail, odd_positions(n) + tail
+
+
+def test_projector_plans_are_read_only():
+    for n in range(1, FULL_N_MAX + 1):
+        for group in _production_groups(n):
+            for table in uqd.fullspace._projector_plan(n, group):
+                with pytest.raises(ValueError):
+                    table[0] = 0
+
+
+@pytest.mark.parametrize("n", range(2, FULL_N_MAX + 1))
+def test_unsorted_group_shares_the_sorted_plan(n):
+    states = np.random.default_rng(40 + n).normal(size=(3, full_dim(n)))
+    plans = uqd.fullspace._projector_plan
+    for group in _production_groups(n):
+        expected = apply_symmetric_projector(n, group, states)
+        misses = plans.cache_info().misses
+        shuffled = tuple(np.random.default_rng(n).permutation(group).tolist())
+        for spelling in (shuffled, group[::-1]):
+            assert np.array_equal(
+                apply_symmetric_projector(n, spelling, states), expected
+            )
+        assert plans.cache_info().misses == misses
+
+
+def test_plan_cache_builds_each_production_group_once():
+    plans = uqd.fullspace._projector_plan
+    assert plans.cache_info().maxsize >= 2 * FULL_N_MAX
+    plans.cache_clear()
+    run_verification(3)
+    assert plans.cache_info().misses == 2 * 3
+    assert plans.cache_info().hits > 0
+    run_verification(3)
+    assert plans.cache_info().misses == 2 * 3
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_whole_space_checks_do_not_depend_on_the_batch(n, monkeypatch):
+    dim = full_dim(n)
+    seen = set()
+    for rows in (1, 7, 32, dim):
+        monkeypatch.setattr(uqd.fullspace, "_BASIS_DOUBLES", rows * dim)
+        seen.add(uqd.fullspace._whole_space_checks(n, *_production_groups(n)))
+    # bit-identical deviation and diagonal sums
+    assert len(seen) == 1
+    idem, even_trace, odd_trace = seen.pop()
+    assert idem < 1e-10
+    assert abs(even_trace - (n + 2) * 2**n) < 1e-9
+    assert abs(odd_trace - (n + 2) * 2**n) < 1e-9
+
+
 def test_apply_keeps_leading_shape_and_real_dtype():
     n = 2
     positions = even_positions(n) + (tail_position(n),)

@@ -24,6 +24,7 @@ from uqd.montecarlo import (
     mc_average_success,
     mc_projector_mean,
     sample_qubit,
+    sample_qubits,
     simulate_outcomes,
 )
 from uqd.povm import PovmParams, batch_success_probabilities
@@ -318,6 +319,20 @@ def test_sample_qubit_uses_the_chunk_map():
     assert q.theta == 2 * math.atan2(s, c)
     assert q.phi == phi
     assert abs(math.cos(q.theta / 2) - c) < 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 8, 2024])
+def test_sample_qubits_equal_repeated_sample_qubit(seed):
+    # the oracle's qubits come from one table; the stream must not move
+    for make in (make_rng, np.random.default_rng):
+        for count in (0, 1, 7, 200):
+            batch_rng, single_rng = make(seed), make(seed)
+            batch = sample_qubits(batch_rng, count)
+            singles = [sample_qubit(single_rng) for _ in range(count)]
+            assert [(q.theta, q.phi) for q in batch] == [
+                (q.theta, q.phi) for q in singles
+            ]
+            assert batch_rng.random() == single_rng.random()
 
 
 @pytest.mark.parametrize("n", [1, 8, 30])

@@ -142,6 +142,40 @@ def test_success_probabilities_match_vdot(n):
             assert np.max(np.abs(batch - explicit)) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_success_probabilities_real_products_match_complex_cast(n):
+    firsts, seconds = _qubit_pairs(100, 30 + n)
+    triple = build_povm(n, PovmParams(0.35, 0.45))
+    for which in (1, 2):
+        rows = build_input_states(firsts, seconds, n, which)
+        assert np.iscomplexobj(rows)
+        op = (triple.pi1 if which == 1 else triple.pi2).entries
+        batch = success_probabilities(rows, triple, which)
+        # the complex-cast formula the real products replace
+        cast = np.real(np.sum(rows.conj() * (rows @ op.T), axis=-1))
+        assert batch.dtype == np.float64
+        assert np.max(np.abs(batch - cast)) <= 1e-15
+        real_rows = rows.real.copy()
+        real = success_probabilities(real_rows, triple, which)
+        assert real.dtype == np.float64
+        assert np.array_equal(real, np.sum(real_rows * (real_rows @ op.T), axis=-1))
+
+
+def test_success_probabilities_never_cast_the_operator():
+    n = 20
+    firsts, seconds = _qubit_pairs(100, 50)
+    triple = build_povm(n, PovmParams(0.35, 0.45))
+    rows = build_input_states(firsts, seconds, n, 1)
+    tracemalloc.start()
+    try:
+        success_probabilities(rows, triple, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a complex copy of the 6.2 MB operator alone would take twice its bytes
+    assert peak < triple.pi1.entries.nbytes
+
+
 def test_batched_routes_validation_and_empty_batch():
     q = BlochQubit(0.4, 1.0)
     triple = build_povm(2, PovmParams(0.5, 0.5))
