@@ -17,7 +17,6 @@ from .symmetric import (
     ReducedIndex,
     ReducedOperator,
     ReducedState,
-    binomial,
     build_input_state,
     build_input_states,
     build_symmetric_projector,
@@ -30,10 +29,8 @@ from .povm import (
     build_povm,
     closed_form_expectation,
     closed_form_expectations,
-    no_error_check,
     success_probabilities,
     success_probability,
-    total_success,
 )
 from .spectral import (
     SECTOR_N_MAX,
@@ -73,7 +70,6 @@ from .montecarlo import (
     OutcomeCounts,
     make_rng,
     mc_average_success,
-    mc_projector_mean,
     sample_qubit,
     sample_qubits,
     simulate_outcomes,

@@ -53,7 +53,6 @@ from .symmetric import (
     Block,
     BlochQubit,
     ReducedIndex,
-    ReducedState,
     _check_copies,
     build_input_states,
     build_symmetric_projector,
@@ -245,11 +244,6 @@ def reduced_basis_matrix(n: int) -> np.ndarray:
     matrix = np.zeros((full_dim(n), reduced_dim(n)))
     matrix[np.arange(full_dim(n)), l * 2 * (n + 1) + m * 2 + t] = amplitude
     return matrix
-
-
-def embed_reduced(state: ReducedState) -> FullState:
-    """Lift a reduced-basis state to the full register space."""
-    return FullState(state.n, reduced_basis_matrix(state.n) @ state.amplitudes)
 
 
 def swap_positions(state: FullState, first: int, second: int) -> FullState:

@@ -24,7 +24,7 @@ the analytic target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +35,13 @@ from .povm import (
     _symmetric_overlap,
     batch_success_probabilities,
 )
-from .symmetric import BlochQubit, _check_copies, _check_walk_size
+from .symmetric import (
+    BlochQubit,
+    _check_copies,
+    _check_int,
+    _check_unit,
+    _check_walk_size,
+)
 from .strategy import DiscriminatorConfig, decide
 
 _LEAK_TOL = 1e-10
@@ -43,8 +49,7 @@ _LEAK_TOL = 1e-10
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; identical seeds give identical streams."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_int("seed", seed, 0)
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
@@ -114,22 +119,11 @@ class McReport:
     z_score: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "mean_success": self.mean_success,
-            "std_error": self.std_error,
-            "analytic": self.analytic,
-            "error_events": self.error_events,
-            "max_leak": self.max_leak,
-            "z_score": self.z_score,
-        }
+        return asdict(self)
 
 
 def _check_samples(samples: int) -> None:
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 1000:
-        raise ValueError(f"samples must be at least 1000, got {samples}")
+    _check_int("samples", samples, 1000)
 
 
 def mc_average_success(
@@ -144,8 +138,7 @@ def mc_average_success(
     """
     _check_walk_size(n)
     _check_samples(samples)
-    if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
-        raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")
+    eta1 = _check_unit("eta1", eta1)
     weighted = np.empty(samples)
     error_events = 0
     max_leak = 0.0
@@ -181,12 +174,6 @@ def _projector_mean_stats(n: int, samples: int, seed: int) -> tuple[float, float
     return mean, std_error
 
 
-def mc_projector_mean(n: int, samples: int, seed: int) -> float:
-    """Monte Carlo mean of the block-plus-tail symmetric overlap; converges
-    to (n+2) / (2(n+1))."""
-    return _projector_mean_stats(n, samples, seed)[0]
-
-
 @dataclass(frozen=True)
 class OutcomeCounts:
     """Click tallies from sampled measurement shots.
@@ -203,13 +190,7 @@ class OutcomeCounts:
     error_events: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "identify1": self.identify1,
-            "identify2": self.identify2,
-            "fail": self.fail,
-            "shots": self.shots,
-            "error_events": self.error_events,
-        }
+        return asdict(self)
 
 
 def simulate_outcomes(
@@ -221,8 +202,7 @@ def simulate_outcomes(
 ) -> OutcomeCounts:
     """Sample measurement shots of the decide-optimal strategy on a fixed
     qubit pair; preparations are drawn from the prior each shot."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    _check_int("shots", shots, 1)
     decision = decide(config)
     p1, p2, leak1, leak2 = (
         float(x[0])

@@ -38,9 +38,9 @@ from .symmetric import (
     ReducedOperator,
     ReducedState,
     _check_copies,
+    _check_unit,
     _check_walk_size,
     _mode_walk,
-    build_input_state,
     build_symmetric_projector,
     pair_angles,
     reduced_dim,
@@ -56,10 +56,7 @@ class PovmParams:
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2"):
-            value = float(getattr(self, name))
-            if not 0.0 <= value <= 1.0 or math.isnan(value):
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_unit(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -345,20 +342,3 @@ def batch_success_probabilities(
     _check_walk_size(n)
     c1, s1, c2, s2, cos_delta = _amplitudes(theta1, phi1, theta2, phi2)
     return _pair_terms(n, params, np.stack((c1, c2)), np.stack((s1, s2)), cos_delta)
-
-
-def no_error_check(triple: PovmTriple, psi1: BlochQubit, psi2: BlochQubit) -> float:
-    """Largest probability of a misidentifying click over the two inputs."""
-    state1 = build_input_state(psi1, psi2, triple.n, 1)
-    state2 = build_input_state(psi1, psi2, triple.n, 2)
-    return max(
-        abs(success_probability(state1, triple, 2)),
-        abs(success_probability(state2, triple, 1)),
-    )
-
-
-def total_success(p1: float, p2: float, eta1: float) -> float:
-    """Prior-weighted success probability eta1*p1 + (1 - eta1)*p2."""
-    if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
-        raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")
-    return eta1 * p1 + (1.0 - eta1) * p2

@@ -55,7 +55,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .povm import PovmParams, PovmTriple
-from .symmetric import ReducedOperator, _check_copies, reduced_dim, tail_split_vectors
+from .symmetric import (
+    ReducedOperator,
+    _check_copies,
+    _check_unit,
+    reduced_dim,
+    tail_split_vectors,
+)
 
 # Couplings below this magnitude count as structural zeros when the block
 # layout is confirmed from the matrix.
@@ -356,8 +362,7 @@ def constraint_c2(c1: float, n: int) -> float:
     denominator is positive because c1 <= 1 and (2n+1) < (n+1)^2.
     """
     _check_copies(n)
-    if not 0.0 <= c1 <= 1.0 or math.isnan(c1):
-        raise ValueError(f"c1 must lie in [0, 1], got {c1!r}")
+    c1 = _check_unit("c1", c1)
     denominator = 1.0 - (2 * n + 1) * c1 / (n + 1) ** 2
     return min(1.0, max(0.0, (1.0 - c1) / denominator))
 

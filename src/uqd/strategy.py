@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .spectral import constraint_c2
-from .symmetric import _check_copies
+from .symmetric import _check_copies, _check_unit
 
 
 class Regime(str, Enum):
@@ -41,10 +41,7 @@ class DiscriminatorConfig:
 
     def __post_init__(self) -> None:
         _check_copies(self.n)
-        eta1 = float(self.eta1)
-        if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
-            raise ValueError(f"eta1 must lie in [0, 1], got {self.eta1!r}")
-        object.__setattr__(self, "eta1", eta1)
+        object.__setattr__(self, "eta1", _check_unit("eta1", self.eta1))
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,7 @@ def avg_success_povm(n: int, eta1: float) -> float:
     eta1))), which cancels nothing at any n.
     """
     _check_copies(n)
-    if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
-        raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")
+    eta1 = _check_unit("eta1", eta1)
     excess = 2.0 * eta1 - 1.0
     root = math.sqrt(eta1 * (1.0 - eta1))
     return n / (4 * n + 2) * (1.0 + n * excess * excess / (1.0 + 2.0 * root))
@@ -122,8 +118,7 @@ def avg_success_projective(n: int, eta1: float, which: int) -> float:
     """Average success of the projective strategy aimed at preparation
     `which`: the aimed-at prior times n/(2(n+1))."""
     _check_copies(n)
-    if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
-        raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")
+    eta1 = _check_unit("eta1", eta1)
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     prior = eta1 if which == 1 else 1.0 - eta1
@@ -133,8 +128,7 @@ def avg_success_projective(n: int, eta1: float, which: int) -> float:
 def avg_success_expression(n: int, eta1: float, c1: float) -> float:
     """Average success along the positivity boundary as a function of c1
     alone, with c2 = constraint_c2(c1)."""
-    if not 0.0 <= eta1 <= 1.0 or math.isnan(eta1):
-        raise ValueError(f"eta1 must lie in [0, 1], got {eta1!r}")
+    eta1 = _check_unit("eta1", eta1)
     c2 = constraint_c2(c1, n)
     return (eta1 * c1 + (1.0 - eta1) * c2) * n / (2 * (n + 1))
 

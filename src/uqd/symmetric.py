@@ -31,9 +31,24 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def _check_int(name: str, value: int, minimum: int) -> None:
+    """Refuse bools, non-integers and integers below `minimum`."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_unit(name: str, value: float) -> float:
+    """`value` as a float, refused unless it lies in [0, 1] (NaN fails the
+    comparison too)."""
+    x = float(value)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return x
+
+
 def _check_copies(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"copy count must be an integer >= 1, got {n!r}")
+    _check_int("copy count", n, 1)
 
 
 # `_mode_walk` tabulates its step ratios over all of 0..n in four n-length
@@ -49,15 +64,6 @@ def _check_walk_size(n: int) -> None:
         raise ValueError(f"the Dicke-weight walk is capped at n <= {WALK_N_MAX}, got {n}")
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), exact."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if k < 0 or k > n:
-        raise ValueError(f"k must satisfy 0 <= k <= {n}, got {k}")
-    return math.comb(n, k)
-
-
 @dataclass(frozen=True)
 class BlochQubit:
     """Pure qubit cos(theta/2)|0> + sin(theta/2) e^{i phi} |1>.
@@ -71,7 +77,7 @@ class BlochQubit:
 
     def __post_init__(self) -> None:
         theta = float(self.theta)
-        if not 0.0 <= theta <= math.pi or math.isnan(theta):
+        if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
         phi = float(self.phi)
         if not math.isfinite(phi):
@@ -286,17 +292,6 @@ def tail_split_vectors(n: int) -> np.ndarray:
     return vs
 
 
-def pair_projector(n: int) -> np.ndarray:
-    """Projector onto the symmetric block-plus-tail subspace, pair basis only.
-
-    A 2(n+1) x 2(n+1) real matrix of rank n+2; the same matrix serves both
-    program blocks.
-    """
-    vs = tail_split_vectors(n)
-    mat = vs.T @ vs
-    return 0.5 * (mat + mat.T)
-
-
 def build_symmetric_projector(n: int, block: Block) -> ReducedOperator:
     """Symmetric projector of one program block plus the tail, tensored with
     the identity on the spectator block, in the reduced basis.
@@ -304,7 +299,10 @@ def build_symmetric_projector(n: int, block: Block) -> ReducedOperator:
     Rank is (n+1)(n+2): n+2 symmetric pair states times n+1 spectator labels.
     """
     _check_copies(n)
-    pair = pair_projector(n)
+    # the pair-basis projector of rank n+2, the same for both blocks
+    vs = tail_split_vectors(n)
+    pair = vs.T @ vs
+    pair = 0.5 * (pair + pair.T)
     eye = np.eye(n + 1)
     dim = reduced_dim(n)
     if block is Block.EVEN_TAIL:

@@ -22,7 +22,6 @@ from uqd.montecarlo import (
     _projector_mean_stats,
     make_rng,
     mc_average_success,
-    mc_projector_mean,
     sample_qubit,
     sample_qubits,
     simulate_outcomes,
@@ -126,7 +125,6 @@ def test_z_score_is_null_without_spread():
 def test_projector_mean_converges(n, target, seed):
     mean, std_error = _projector_mean_stats(n, 100000, seed)
     assert abs(mean - target) < 4 * std_error
-    assert mc_projector_mean(n, 100000, seed) == mean
 
 
 def test_projector_mean_large_n():

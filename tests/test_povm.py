@@ -23,12 +23,10 @@ from uqd.povm import (
     build_povm,
     closed_form_expectation,
     closed_form_expectations,
-    no_error_check,
     projected_overlap_batch,
     success_probabilities,
     success_probability,
     symmetric_overlap_batch,
-    total_success,
 )
 from uqd.symmetric import (
     WALK_N_MAX,
@@ -264,8 +262,11 @@ def test_success_scales_linearly_in_c(t1, p1, t2, p2, c1):
 @given(thetas, phis, thetas, phis, scales, scales)
 def test_no_error_check_stays_at_float_noise(t1, p1, t2, p2, c1, c2):
     triple = build_povm(2, PovmParams(c1, c2))
-    leak = no_error_check(triple, BlochQubit(t1, p1), BlochQubit(t2, p2))
-    assert leak < 1e-10
+    psi1, psi2 = BlochQubit(t1, p1), BlochQubit(t2, p2)
+    # each input's probability of firing the other input's element
+    wrong1 = success_probability(build_input_state(psi1, psi2, 2, 1), triple, 2)
+    wrong2 = success_probability(build_input_state(psi1, psi2, 2, 2), triple, 1)
+    assert max(abs(wrong1), abs(wrong2)) < 1e-10
 
 
 def _random_pairs(rng, count):
@@ -618,13 +619,3 @@ def test_overlap_batch_shapes():
     )
     assert out.shape == (3,)
     assert np.all((0.0 <= out) & (out <= 1.0 + 1e-12))
-
-
-def test_total_success():
-    assert total_success(0.3, 0.1, 0.25) == pytest.approx(0.15)
-    assert total_success(0.42, 0.9, 1.0) == pytest.approx(0.42)
-    assert total_success(0.37, 0.37, 0.123) == pytest.approx(0.37)
-    with pytest.raises(ValueError):
-        total_success(0.3, 0.1, 1.5)
-    with pytest.raises(ValueError):
-        total_success(0.3, 0.1, float("nan"))

@@ -10,57 +10,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uqd.montecarlo import make_rng, mc_average_success, simulate_outcomes
+from uqd.povm import PovmParams
+from uqd.spectral import constraint_c2
+from uqd.strategy import (
+    DiscriminatorConfig,
+    avg_success_expression,
+    avg_success_povm,
+    avg_success_projective,
+)
 from uqd.symmetric import (
     Block,
     BlochQubit,
     ReducedIndex,
     ReducedOperator,
     ReducedState,
-    binomial,
     build_input_state,
     build_input_states,
     build_symmetric_projector,
     dicke_amplitudes,
     dicke_amplitudes_batch,
     dicke_magnitudes_batch,
-    pair_projector,
     reduced_dim,
     tail_split_vectors,
 )
 
 thetas = st.floats(min_value=0.0, max_value=math.pi)
 phis = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
-
-
-def _pascal(rows):
-    table = [[1]]
-    for _ in range(rows):
-        prev = table[-1]
-        table.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return table
-
-
-def test_binomial_against_pascal_triangle():
-    table = _pascal(30)
-    for n in range(31):
-        for k in range(n + 1):
-            assert binomial(n, k) == table[n][k]
-
-
-def test_binomial_known_values():
-    assert binomial(4, 2) == 6
-    assert binomial(6, 3) == 20
-    for n in range(10):
-        assert binomial(n, 0) == 1
-
-
-def test_binomial_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        binomial(3, 4)
-    with pytest.raises(ValueError):
-        binomial(3, -1)
-    with pytest.raises(ValueError):
-        binomial(-2, 0)
 
 
 def test_bloch_qubit_validation():
@@ -70,6 +46,50 @@ def test_bloch_qubit_validation():
         BlochQubit(math.pi + 0.1, 0.0)
     with pytest.raises(ValueError):
         BlochQubit(float("nan"), 0.0)
+
+
+# Every prior or scale a caller passes in goes through `_check_unit`.
+UNIT_ENTRY_POINTS = {
+    "PovmParams.c1": lambda x: PovmParams(x, 0.5),
+    "PovmParams.c2": lambda x: PovmParams(0.5, x),
+    "DiscriminatorConfig": lambda x: DiscriminatorConfig(3, x),
+    "avg_success_povm": lambda x: avg_success_povm(3, x),
+    "avg_success_projective": lambda x: avg_success_projective(3, x, 1),
+    "avg_success_expression": lambda x: avg_success_expression(3, x, 0.5),
+    "constraint_c2": lambda x: constraint_c2(x, 3),
+    "mc_average_success": lambda x: mc_average_success(2, PovmParams(0.3, 0.4), x, 1000, 1),
+}
+
+
+@pytest.mark.parametrize("call", UNIT_ENTRY_POINTS.values(), ids=UNIT_ENTRY_POINTS.keys())
+def test_unit_check_refuses_outside_and_accepts_ends(call):
+    for bad in (float("nan"), -0.1, 1.1):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            call(bad)
+    call(0)
+    call(1)
+
+
+def _simulate(shots):
+    config = DiscriminatorConfig(2, 0.5)
+    return simulate_outcomes(BlochQubit(0.3, 0.0), BlochQubit(2.0, 1.0), config, shots, 1)
+
+
+# Every count or seed a caller passes in goes through `_check_int`.
+INT_ENTRY_POINTS = {
+    "n": (reduced_dim, 1),
+    "seed": (make_rng, 0),
+    "samples": (lambda x: mc_average_success(2, PovmParams(0.3, 0.4), 0.5, x, 1), 1000),
+    "shots": (_simulate, 1),
+}
+
+
+@pytest.mark.parametrize("call,minimum", INT_ENTRY_POINTS.values(), ids=INT_ENTRY_POINTS.keys())
+def test_int_check_refuses_non_integers_and_accepts_numpy_minimum(call, minimum):
+    for bad in (True, 2.0, minimum - 1):
+        with pytest.raises(ValueError, match=f"must be an integer >= {minimum}"):
+            call(bad)
+    call(np.int64(minimum))
 
 
 def test_bloch_qubit_phi_wraps():
@@ -284,7 +304,8 @@ def test_tail_split_vectors_weights():
 
 def test_pair_projector_is_projector():
     for n in range(1, 6):
-        p = pair_projector(n)
+        vs = tail_split_vectors(n)
+        p = vs.T @ vs
         np.testing.assert_allclose(p, p.T, atol=1e-14)
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
         assert abs(np.trace(p) - (n + 2)) < 1e-12
