@@ -12,17 +12,26 @@ front, D^T D multiplies them, where D holds the n+2 normalised Dicke rows
 enumerated by popcount, and the inverse permutation gathers them back.  The
 two permutations and D form the group's plan, built once per (n, sorted
 group) and kept read-only in a bounded cache that holds every production
-group.  The whole-space checks apply both projectors to every basis column,
-in batches of `_BASIS_DOUBLES` doubles (512 KB) so that a batch's arrays
-stay in a 4 MB L2 cache; the batch size does not change any result.
-The dense references are array passes over the bit table and `math.comb`:
+group.  Complex states are applied through a float64 view, so every product
+is a real one.
+
+Every full-space array of the pass is sized by one budget of
+`_BASIS_DOUBLES` doubles (512 KB), so that a batch's arrays stay in a 4 MB
+L2 cache.  The whole-space checks apply both projectors to every basis
+column, a batch of columns at a time, in one reused identity buffer.  The
+block check projects the columns of the embedding a batch at a time, and
+the sampled qubit pairs are checked a batch at a time: 16 of the 100 pairs
+at n = 5.  The batch sizes do not change any result.  The dense references
+are array passes over the bit table and `math.comb`:
 `symmetric_projector_full` compares keys (outside bits, inside popcount),
-and `reduced_basis_matrix` writes the index map of the reduced basis into
-a dense view.  The reduced side the pass checks is built in one batched
-call per (n, which), from one table of sampled qubits per n.  The oracle is
-capped at n <= 5 (dimension 2048); `run_verification(5)` runs all 55 checks
-in about 0.23 s on a 2-core VM, about a third of it in the whole-space
-checks.
+and `reduced_basis_matrix` writes `_reduced_index_map`, the one column and
+amplitude of each basis state, into a dense view.  The input-embedding
+check lifts reduced states through that map with one gather.  The reduced
+side the pass checks is built in one batched call per (n, which, batch),
+from one table of sampled qubits per n.  The oracle is capped at n <= 5
+(dimension 2048); `run_verification(5)` runs all 55 checks in 0.15-0.20 s
+on a 2-core VM, and its `tracemalloc` peak is 5.6 MB, most of it in the
+block check.
 """
 
 from __future__ import annotations
@@ -128,17 +137,10 @@ def tensor_inputs(
     theta1, phi1, theta2, phi2 = pair_angles(psi1s, psi2s, which)
     amps1 = _qubit_amplitudes(theta1, phi1)
     amps2 = _qubit_amplitudes(theta2, phi2)
-    tail = amps1 if which == 1 else amps2
     states = np.ones((len(psi1s), 1), dtype=complex)
-    for position in range(1, 2 * n + 2):
-        if position == tail_position(n):
-            qubit = tail
-        elif position % 2 == 1:
-            qubit = amps1
-        else:
-            qubit = amps2
+    for qubit in [amps1, amps2] * n + [amps1 if which == 1 else amps2]:
         product = states[:, :, None] * qubit[:, None, :]
-        states = product.reshape(len(states), 2**position)
+        states = product.reshape(len(states), -1)
     return states
 
 
@@ -196,19 +198,27 @@ def apply_symmetric_projector(
     amplitudes are read as a (2^(n+1), 2^n) matrix whose row index b holds
     the projected bits; the result is D^T D times that matrix, with
     D[k, b] = C(n+1, k)^(-1/2) when b has k set bits and 0 otherwise,
-    gathered back by the inverse permutation.
+    gathered back by the inverse permutation.  Complex states go through a
+    float64 view with the real and imaginary parts side by side, so D
+    multiplies them in one real product.  The result is complex128 for
+    complex input and float64 otherwise.
     """
     inside = _projected_group(n, positions)
     states = np.asarray(states)
-    if states.shape[-1:] != (full_dim(n),):
+    dim = full_dim(n)
+    if states.shape[-1:] != (dim,):
         raise ValueError(
-            f"states must have last axis {full_dim(n)}, got shape {states.shape}"
+            f"states must have last axis {dim}, got shape {states.shape}"
         )
+    dtype, parts = (np.complex128, 2) if np.iscomplexobj(states) else (np.float64, 1)
+    rows = np.ascontiguousarray(states, dtype=dtype).reshape(-1, dim)
+    real = rows.view(np.float64).reshape(len(rows), dim, parts)
     order, inverse, dicke = _projector_plan(n, inside)
-    gathered = np.take(states, order, axis=-1).reshape(-1, 2 ** (n + 1), 2**n)
-    projected = (dicke.T @ (dicke @ gathered)).reshape(states.shape)
+    gathered = np.take(real, order, axis=1).reshape(-1, 2 ** (n + 1), 2**n * parts)
+    projected = (dicke.T @ (dicke @ gathered)).reshape(real.shape)
     # a second gather, not a scatter into `order`, which measured slower
-    return np.take(projected, inverse, axis=-1)
+    applied = np.take(projected, inverse, axis=1)
+    return applied.view(dtype).reshape(states.shape)
 
 
 def symmetric_projector_full(n: int, positions: tuple[int, ...]) -> np.ndarray:
@@ -228,21 +238,27 @@ def symmetric_projector_full(n: int, positions: tuple[int, ...]) -> np.ndarray:
     return np.where(block[:, None] == block[None, :], share[count], 0.0)
 
 
-def reduced_basis_matrix(n: int) -> np.ndarray:
-    """Full-space images of the reduced basis vectors, one per column,
-    ordered by the flat reduced index: a dense view of the index map that
-    puts each basis state, with l odd and m even bits set and tail bit t,
-    in column l*2(n+1) + m*2 + t with amplitude 1/sqrt(C(n, l) C(n, m)).
-    """
+def _reduced_index_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(column, amplitude) of every full-space basis state in the reduced
+    basis: the state with l odd and m even bits set and tail bit t lies in
+    column l*2(n+1) + m*2 + t alone, with amplitude 1/sqrt(C(n, l) C(n, m)).
+    So E a is the gather a[column] * amplitude."""
     _check_full(n)
     bits = _bit_table(n)
     l = bits[np.subtract(odd_positions(n), 1)].sum(axis=0)
     m = bits[np.subtract(even_positions(n), 1)].sum(axis=0)
     t = bits[tail_position(n) - 1]
     comb = np.array([math.comb(n, k) for k in range(n + 1)])
-    amplitude = 1.0 / np.sqrt(comb[l] * comb[m])
+    return l * 2 * (n + 1) + m * 2 + t, 1.0 / np.sqrt(comb[l] * comb[m])
+
+
+def reduced_basis_matrix(n: int) -> np.ndarray:
+    """Full-space images of the reduced basis vectors, one per column,
+    ordered by the flat reduced index: the dense view of `_reduced_index_map`.
+    """
+    column, amplitude = _reduced_index_map(n)
     matrix = np.zeros((full_dim(n), reduced_dim(n)))
-    matrix[np.arange(full_dim(n)), l * 2 * (n + 1) + m * 2 + t] = amplitude
+    matrix[np.arange(full_dim(n)), column] = amplitude
     return matrix
 
 
@@ -286,10 +302,12 @@ class CheckResult:
         }
 
 
-# doubles per identity-column batch of the whole-space checks: a batch is
-# max(1, _BASIS_DOUBLES // dim) columns, 32 (512 KB) at n = 5 and every column
-# at n <= 3, so the half-dozen such arrays one batch keeps live fit a 4 MB L2
-# cache, which 256-column (4 MB) batches did not
+# doubles per batch of full-space rows: the whole-space checks take
+# max(1, _BASIS_DOUBLES // dim) identity columns at a time, 32 (512 KB) at
+# n = 5 and every column at n <= 3, so the half-dozen such arrays one batch
+# keeps live fit a 4 MB L2 cache, which 256-column (4 MB) batches did not;
+# `_block_check` takes as many rows of E^T, and the pair loop half as many
+# complex rows (16 pairs at n = 5, all 100 at n <= 3)
 _BASIS_DOUBLES = 2**16
 
 # qubit pairs sampled per n, and the seed of the one generator they come from
@@ -298,8 +316,12 @@ VERIFY_SEED = 2024
 
 
 def _expectations(states: np.ndarray, applied: np.ndarray) -> np.ndarray:
-    """Re <psi|A psi> per row, given the rows psi and A psi."""
-    return np.real(np.sum(states.conj() * applied, axis=-1))
+    """Re <psi|A psi> per row, given the rows psi and A psi: one real product
+    per part, Re <s|a> = <s.re|a.re> + <s.im|a.im>, so no conjugate is
+    copied.  The rows are complex."""
+    return np.sum(states.real * applied.real, axis=-1) + np.sum(
+        states.imag * applied.imag, axis=-1
+    )
 
 
 def _whole_space_checks(
@@ -307,29 +329,28 @@ def _whole_space_checks(
 ) -> tuple[float, float, float]:
     """(idempotence deviation of P_even, trace of P_even, trace of P_odd),
     with both projectors applied to every basis column, a batch of columns
-    at a time.  Each column's arithmetic does not depend on the batch, and
-    neither `max` nor `math.fsum` on the order, so the results do not
-    depend on the batch size."""
+    at a time, all in one identity buffer whose ones are set before a
+    batch's applies and reset after.  Each column's arithmetic does not
+    depend on the batch, and neither `max` nor `math.fsum` on the order, so
+    the results do not depend on the batch size."""
     dim = full_dim(n)
-    batch = max(1, _BASIS_DOUBLES // dim)
+    batch = min(dim, max(1, _BASIS_DOUBLES // dim))
+    identity = np.zeros((batch, dim))
+    diagonals = np.empty((2, dim))
     idem = 0.0
-    even_diagonal: list[np.ndarray] = []
-    odd_diagonal: list[np.ndarray] = []
     for start in range(0, dim, batch):
         rows = np.arange(min(batch, dim - start))
-        columns = np.zeros((len(rows), dim))
-        columns[rows, start + rows] = 1.0
+        index = start + rows
+        columns = identity[: len(rows)]
+        columns[rows, index] = 1.0
         p_even = apply_symmetric_projector(n, even_tail, columns)
         p_odd = apply_symmetric_projector(n, odd_tail, columns)
+        columns[rows, index] = 0.0
         twice = apply_symmetric_projector(n, even_tail, p_even)
-        idem = max(idem, float(np.max(np.abs(twice - p_even))))
-        even_diagonal.append(p_even[rows, start + rows])
-        odd_diagonal.append(p_odd[rows, start + rows])
-    return (
-        idem,
-        math.fsum(np.concatenate(even_diagonal)),
-        math.fsum(np.concatenate(odd_diagonal)),
-    )
+        np.abs(np.subtract(twice, p_even, out=twice), out=twice)
+        idem = max(idem, float(np.max(twice)))
+        diagonals[:, index] = p_even[rows, index], p_odd[rows, index]
+    return idem, math.fsum(diagonals[0]), math.fsum(diagonals[1])
 
 
 def run_verification(n_max: int) -> list[CheckResult]:
@@ -376,44 +397,49 @@ def run_verification(n_max: int) -> list[CheckResult]:
         scales = {1: params.c1, 2: params.c2}
         triple = build_povm(n, params)
 
+        # a complex amplitude is two doubles, so a batch of pairs holds as
+        # many doubles as a batch of identity columns
+        pair_batch = max(1, _BASIS_DOUBLES // (2 * full_dim(n)))
+        column, amplitude = _reduced_index_map(n)
         qubits = sample_qubits(rng, 2 * VERIFY_PAIRS)
         firsts, seconds = qubits[0::2], qubits[1::2]
-        embed_dev = 0.0
-        overlap_dev = 0.0
-        success_dev = 0.0
-        leak_dev = 0.0
-        for which in (1, 2):
-            wrong = 3 - which
-            full = tensor_inputs(firsts, seconds, n, which)
-            amplitudes = build_input_states(firsts, seconds, n, which)
-            embed_dev = max(
-                embed_dev, float(np.max(np.abs(amplitudes @ embedding.T - full)))
-            )
+        embed_dev = overlap_dev = success_dev = leak_dev = 0.0
+        for start in range(0, VERIFY_PAIRS, pair_batch):
+            psi1s = firsts[start : start + pair_batch]
+            psi2s = seconds[start : start + pair_batch]
+            for which in (1, 2):
+                wrong = 3 - which
+                full = tensor_inputs(psi1s, psi2s, n, which)
+                amplitudes = build_input_states(psi1s, psi2s, n, which)
+                embed_dev = max(
+                    embed_dev,
+                    float(np.max(np.abs(amplitudes[:, column] * amplitude - full))),
+                )
 
-            norms = _expectations(full, full)
-            e_full = _expectations(
-                full, apply_symmetric_projector(n, groups[which], full)
-            )
-            e_red = _expectations(amplitudes, amplitudes @ p_red[which].T)
-            e_closed = closed_form_expectations(firsts, seconds, n, which)
-            overlap_dev = max(
-                overlap_dev,
-                float(np.max(np.abs(e_full - e_red))),
-                float(np.max(np.abs(e_closed - e_red))),
-                float(np.max(np.abs(e_closed - e_full))),
-            )
+                norms = _expectations(full, full)
+                e_full = _expectations(
+                    full, apply_symmetric_projector(n, groups[which], full)
+                )
+                e_red = _expectations(amplitudes, amplitudes @ p_red[which].T)
+                e_closed = closed_form_expectations(psi1s, psi2s, n, which)
+                overlap_dev = max(
+                    overlap_dev,
+                    float(np.max(np.abs(e_full - e_red))),
+                    float(np.max(np.abs(e_closed - e_red))),
+                    float(np.max(np.abs(e_closed - e_full))),
+                )
 
-            # <psi| c (I - P) |psi> = c (|psi|^2 - <psi|P psi>)
-            success_full = scales[which] * (norms - e_full)
-            success_red = success_probabilities(amplitudes, triple, which)
-            success_dev = max(
-                success_dev, float(np.max(np.abs(success_full - success_red)))
-            )
-            leak = scales[wrong] * (
-                norms
-                - _expectations(full, apply_symmetric_projector(n, groups[wrong], full))
-            )
-            leak_dev = max(leak_dev, float(np.max(np.abs(leak))))
+                # <psi| c (I - P) |psi> = c (|psi|^2 - <psi|P psi>)
+                success_full = scales[which] * (norms - e_full)
+                success_red = success_probabilities(amplitudes, triple, which)
+                success_dev = max(
+                    success_dev, float(np.max(np.abs(success_full - success_red)))
+                )
+                e_wrong = _expectations(
+                    full, apply_symmetric_projector(n, groups[wrong], full)
+                )
+                leak = scales[wrong] * (norms - e_wrong)
+                leak_dev = max(leak_dev, float(np.max(np.abs(leak))))
         results.append(CheckResult(f"n={n} input embedding matches", embed_dev, 1e-10))
         results.append(
             CheckResult(f"n={n} overlap full/reduced/closed agree", overlap_dev, 1e-10)
@@ -427,20 +453,13 @@ def run_verification(n_max: int) -> list[CheckResult]:
             CheckResult(f"n={n} no misidentification (full)", leak_dev, 1e-10)
         )
 
-        psi1, psi2 = qubits[0], qubits[1]
         perm_dev = 0.0
-        state1 = tensor_input(psi1, psi2, n, 1)
-        for p, q in itertools.combinations(odd_tail, 2):
-            swapped = swap_positions(state1, p, q)
-            perm_dev = max(
-                perm_dev, float(np.max(np.abs(swapped.amplitudes - state1.amplitudes)))
-            )
-        state2 = tensor_input(psi1, psi2, n, 2)
-        for p, q in itertools.combinations(even_tail, 2):
-            swapped = swap_positions(state2, p, q)
-            perm_dev = max(
-                perm_dev, float(np.max(np.abs(swapped.amplitudes - state2.amplitudes)))
-            )
+        for which, group in ((1, odd_tail), (2, even_tail)):
+            state = tensor_input(qubits[0], qubits[1], n, which)
+            for p, q in itertools.combinations(group, 2):
+                swapped = swap_positions(state, p, q).amplitudes
+                deviation = np.max(np.abs(swapped - state.amplitudes))
+                perm_dev = max(perm_dev, float(deviation))
         results.append(
             CheckResult(f"n={n} copy-position exchange symmetry", perm_dev, 1e-12)
         )
@@ -508,16 +527,21 @@ def _block_check(n: int, params: PovmParams, embedding: np.ndarray) -> CheckResu
             )
 
     # pi0_full = (1 - c1 - c2) I + c1 P_even + c2 P_odd, applied to the
-    # columns of E (held as rows)
-    images = np.ascontiguousarray(embedding.T)
+    # columns of E (held as rows), a batch of rows at a time
     even_tail = even_positions(n) + (tail_position(n),)
     odd_tail = odd_positions(n) + (tail_position(n),)
-    pi0_images = (
-        (1.0 - params.c1 - params.c2) * images
-        + params.c1 * apply_symmetric_projector(n, even_tail, images)
-        + params.c2 * apply_symmetric_projector(n, odd_tail, images)
-    )
-    oracle = embedding.T @ pi0_images.T
+    size = reduced_dim(n)
+    batch = max(1, _BASIS_DOUBLES // full_dim(n))
+    oracle = np.empty((size, size))
+    for start in range(0, size, batch):
+        rows = slice(start, start + batch)
+        images = np.ascontiguousarray(embedding[:, rows].T)
+        pi0_images = (
+            (1.0 - params.c1 - params.c2) * images
+            + params.c1 * apply_symmetric_projector(n, even_tail, images)
+            + params.c2 * apply_symmetric_projector(n, odd_tail, images)
+        )
+        oracle[:, rows] = embedding.T @ pi0_images.T
     assembled = np.zeros_like(oracle)
     for s, block in enumerate(sectors):
         members = [

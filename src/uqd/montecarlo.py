@@ -126,6 +126,21 @@ def _check_samples(samples: int) -> None:
     _check_int("samples", samples, 1000)
 
 
+def _mean_and_std_error(values: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error) of `values`, which it overwrites.
+
+    This is numpy's own `np.std(ddof=1)` arithmetic, so the result is
+    bit-identical, with the deviations from the mean taken and squared in
+    place: no temporary of the array's size is made.
+    """
+    samples = len(values)
+    mean = float(np.mean(values))
+    values -= np.add.reduce(values, keepdims=True) / samples
+    np.multiply(values, values, out=values)
+    variance = np.add.reduce(values) / (samples - 1)
+    return mean, float(np.sqrt(variance) / math.sqrt(samples))
+
+
 def mc_average_success(
     n: int, params: PovmParams, eta1: float, samples: int, seed: int
 ) -> McReport:
@@ -148,8 +163,7 @@ def mc_average_success(
         error_events += int(np.count_nonzero((leak1 > _LEAK_TOL) | (leak2 > _LEAK_TOL)))
         max_leak = max(max_leak, float(max(leak1.max(), leak2.max(), -leak1.min(), -leak2.min())))
 
-    mean = float(np.mean(weighted))
-    std_error = float(np.std(weighted, ddof=1) / math.sqrt(samples))
+    mean, std_error = _mean_and_std_error(weighted)
     analytic = (eta1 * params.c1 + (1.0 - eta1) * params.c2) * n / (2 * (n + 1))
     return McReport(
         samples=samples,
@@ -169,9 +183,7 @@ def _projector_mean_stats(n: int, samples: int, seed: int) -> tuple[float, float
     overlaps = np.empty(samples)
     for sl, c, s, cos_delta in _pair_amplitude_chunks(seed, samples):
         overlaps[sl] = _symmetric_overlap(n, c[0], s[0], c[1], s[1], cos_delta)
-    mean = float(np.mean(overlaps))
-    std_error = float(np.std(overlaps, ddof=1) / math.sqrt(samples))
-    return mean, std_error
+    return _mean_and_std_error(overlaps)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,18 +317,28 @@ def test_whole_space_checks_do_not_depend_on_the_batch(n, monkeypatch):
 
 
 def test_apply_keeps_leading_shape_and_real_dtype():
+    # real input of any dtype comes back float64, complex input complex128
     n = 2
     positions = even_positions(n) + (tail_position(n),)
     rng = np.random.default_rng(5)
     for lead in ((), (0,), (2, 3)):
-        states = rng.normal(size=lead + (full_dim(n),))
-        applied = apply_symmetric_projector(n, positions, states)
-        assert applied.shape == states.shape
-        assert applied.dtype == np.float64
-        rows = states.reshape(-1, full_dim(n))
-        assert np.array_equal(
-            applied.reshape(rows.shape), _moveaxis_apply(n, positions, rows)
+        real = rng.normal(size=lead + (full_dim(n),))
+        complex_states = real + 1j * rng.normal(size=real.shape)
+        cases = (
+            (real, np.float64),
+            (real.astype(np.float32), np.float64),
+            (np.round(4 * real).astype(int), np.float64),
+            (complex_states, np.complex128),
+            (complex_states.astype(np.complex64), np.complex128),
         )
+        for states, dtype in cases:
+            applied = apply_symmetric_projector(n, positions, states)
+            assert applied.shape == states.shape
+            assert applied.dtype == dtype
+            rows = states.reshape(-1, full_dim(n)).astype(dtype)
+            assert np.array_equal(
+                applied.reshape(rows.shape), _moveaxis_apply(n, positions, rows)
+            )
 
 
 def test_apply_validation():
@@ -347,6 +358,17 @@ def test_reduced_embedding_is_isometric():
         v = reduced_basis_matrix(n)
         gram = v.conj().T @ v
         assert np.max(np.abs(gram - np.eye(reduced_dim(n)))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, FULL_N_MAX + 1))
+def test_index_map_gather_equals_dense_embedding(n):
+    # each full-space row of E has one entry, so E a is one product per row
+    column, amplitude = uqd.fullspace._reduced_index_map(n)
+    rng = np.random.default_rng(60 + n)
+    shape = (5, reduced_dim(n))
+    amplitudes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    gathered = amplitudes[:, column] * amplitude
+    assert np.array_equal(gathered, amplitudes @ reduced_basis_matrix(n).T)
 
 
 def test_embedding_matches_tensor_route():
@@ -388,6 +410,28 @@ def test_verification_suite_passes_at_full_n_max():
     assert all(r.passed == (r.deviation < r.tol) for r in results)
     failures = [r for r in results if not r.passed]
     assert failures == [], [f"{r.name}: {r.detail}" for r in failures]
+
+
+def test_verification_peak_memory_is_bounded():
+    # every full-space array of the pass is sized by _BASIS_DOUBLES, which
+    # keeps the peak near 6 MB; the 100 pairs of n = 5 at once need 14 MB
+    uqd.fullspace._projector_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        run_verification(FULL_N_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_verification_does_not_depend_on_the_batch(monkeypatch):
+    n = 4
+    expected = [(r.name, r.deviation) for r in run_verification(n)]
+    # one pair, one row and one column per batch, then everything at once
+    for doubles in (full_dim(n), 2**40):
+        monkeypatch.setattr(uqd.fullspace, "_BASIS_DOUBLES", doubles)
+        assert [(r.name, r.deviation) for r in run_verification(n)] == expected
 
 
 def test_check_result_passes_strictly_below_tol():

@@ -6,6 +6,7 @@ are reproducible rather than flaky.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,21 @@ def test_average_equals_an_all_at_once_reference(n):
     assert report.mean_success == float(np.mean(weighted))
     assert report.std_error == float(np.std(weighted, ddof=1) / math.sqrt(samples))
     assert report.error_events == 0
+
+
+def test_average_peak_memory_is_one_sample_array():
+    # the weighted samples are the one array of their size: the variance is
+    # taken in place, not through np.std's same-sized temporary
+    samples = 10**6
+    params = PovmParams(0.6, 0.3)
+    mc_average_success(7, params, 0.35, 1000, 1)
+    tracemalloc.start()
+    try:
+        mc_average_success(7, params, 0.35, samples, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * samples + 4 * 2**20
 
 
 class _NumpyWithoutJoins:
