@@ -41,6 +41,7 @@ from .symmetric import (
     _check_unit,
     _check_walk_size,
     _mode_walk,
+    _Scratch,
     build_symmetric_projector,
     pair_angles,
     reduced_dim,
@@ -149,20 +150,49 @@ def _amplitudes(
 
 
 def _fidelity(
-    ca: np.ndarray, sa: np.ndarray, cb: np.ndarray, sb: np.ndarray, cos_delta
+    ca: np.ndarray,
+    sa: np.ndarray,
+    cb: np.ndarray,
+    sb: np.ndarray,
+    cos_delta: np.ndarray,
+    scratch: _Scratch | None = None,
 ) -> np.ndarray:
-    """|<a|b>|^2 = c_a^2 c_b^2 + s_a^2 s_b^2 + 2 c_a c_b s_a s_b cos(phi_a - phi_b)."""
-    cc = ca * cb
-    ss = sa * sb
-    return cc * cc + ss * ss + 2 * cc * ss * cos_delta
+    """|<a|b>|^2 = c_a^2 c_b^2 + s_a^2 s_b^2 + 2 c_a c_b s_a s_b cos(phi_a - phi_b),
+    in the "fidelity" buffer of `scratch`; cos_delta has the pairs' shape.
+
+    Every product is taken in the order of that sum, in place, so the result
+    is bit-identical to the expression evaluated with temporaries.
+    """
+    scratch = scratch or _Scratch()
+    shape = cos_delta.shape
+    cc = np.multiply(ca, cb, out=scratch("fidelity.cc", shape))
+    ss = np.multiply(sa, sb, out=scratch("fidelity.ss", shape))
+    fidelity = np.multiply(cc, cc, out=scratch("fidelity", shape))
+    cc *= 2
+    cc *= ss
+    cc *= cos_delta
+    ss *= ss
+    fidelity += ss
+    fidelity += cc
+    return fidelity
 
 
 def _symmetric_overlap(
-    n: int, ca: np.ndarray, sa: np.ndarray, cb: np.ndarray, sb: np.ndarray, cos_delta
+    n: int,
+    ca: np.ndarray,
+    sa: np.ndarray,
+    cb: np.ndarray,
+    sb: np.ndarray,
+    cos_delta: np.ndarray,
+    scratch: _Scratch | None = None,
 ) -> np.ndarray:
     """(1 + n F)/(n+1): the closed-form weight of n copies of one qubit plus
-    one copy of the other in the symmetric subspace."""
-    return (1.0 + n * _fidelity(ca, sa, cb, sb, cos_delta)) / (n + 1)
+    one copy of the other in the symmetric subspace, in the buffer of F."""
+    overlap = _fidelity(ca, sa, cb, sb, cos_delta, scratch)
+    overlap *= n
+    overlap += 1.0
+    overlap /= n + 1
+    return overlap
 
 
 def symmetric_overlap_batch(
@@ -191,7 +221,11 @@ _WINDOW = 4.4
 
 
 def _tail_split_sums(
-    n: int, big: np.ndarray, small: np.ndarray, small_sq: np.ndarray
+    n: int,
+    big: np.ndarray,
+    small: np.ndarray,
+    small_sq: np.ndarray,
+    scratch: _Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(stay, move, cross) of a block qubit under the tail split, in the frame
     of its larger amplitude: big = max(c, s), small = min(c, s), and small_sq
@@ -213,27 +247,47 @@ def _tail_split_sums(
     The window holds every k within 4.4 sqrt(n) of the row's mean n small^2
     (one more step on each side covers the mode's offset from the mean), so
     by Hoeffding the dropped mass is below 2 exp(-2 * 4.4^2) ~ 3e-17.  For
-    n <= 23 it covers all of 0..n.  Cost: O(sqrt(n)) per row, O(n) per call
-    for the ratio tables.
+    n <= 23 it covers all of 0..n.  Cost: O(sqrt(n)) per row, O(n) per
+    `scratch` for the ratio tables.  The three sums are `scratch` buffers,
+    each formed in place in the order of the formulas above.
     """
+    scratch = scratch or _Scratch()
+    shape = big.shape
+    term = scratch("sums.term", shape)
     # small^2 <= 1/2, so the mode floor((n+1) small^2) stays within 0..n;
     # the cast truncates, which floors a nonnegative value.
-    mode = ((n + 1) * small_sq).astype(np.intp)
+    mode = scratch("sums.mode", shape, np.intp)
+    np.copyto(mode, np.multiply(n + 1, small_sq, out=term), casting="unsafe")
     half_width = math.ceil(_WINDOW * math.sqrt(n)) + 1
 
     # mass, first moment relative to the mode, and cross, on O(rows) vectors
-    mass = np.ones_like(big)
-    offset = np.zeros_like(big)
-    cross = np.zeros_like(big)
-    for j, w, prev, link in _mode_walk(n, big, small, mode, half_width):
-        sq = w * w
-        mass += sq
-        offset += j * sq
-        cross += link * w * prev
+    mass = scratch("sums.mass", shape)
+    offset = scratch("sums.offset", shape)
+    cross = scratch("sums.cross", shape)
+    mass.fill(1.0)
+    offset.fill(0.0)
+    cross.fill(0.0)
+    for j, w, prev, link in _mode_walk(n, big, small, mode, half_width, scratch):
+        np.multiply(w, w, out=term)
+        mass += term
+        term *= j
+        offset += term
+        np.multiply(link, w, out=term)
+        term *= prev
+        cross += term
 
-    moment = mode * mass + offset  # sum_k k w_k^2
-    scale = (n + 1) * mass
-    return (scale - moment) / scale, (mass + moment) / scale, cross / scale
+    np.copyto(term, mode)  # exact: mode <= n
+    term *= mass
+    moment = offset
+    moment += term  # sum_k k w_k^2
+    scale = np.multiply(n + 1, mass, out=term)
+    move = mass
+    move += moment
+    move /= scale
+    stay = np.subtract(scale, moment, out=moment)
+    stay /= scale
+    cross /= scale
+    return stay, move, cross
 
 
 def _projected_overlap(
@@ -299,7 +353,12 @@ def closed_form_expectation(
 
 
 def _pair_terms(
-    n: int, params: PovmParams, c: np.ndarray, s: np.ndarray, cos_delta
+    n: int,
+    params: PovmParams,
+    c: np.ndarray,
+    s: np.ndarray,
+    cos_delta: np.ndarray,
+    scratch: _Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(p1, p2, leak1, leak2) from stacked half-angle amplitudes and
     cos(phi1 - phi2).
@@ -309,17 +368,35 @@ def _pair_terms(
     explicit projection over the flat 2 * rows view, each block qubit with
     the same qubit on the tail, so the relative phase is 0 and the kept
     weight big^2 stay + small^2 move + 2 big small cross is the same in
-    either frame.
+    either frame.  The four results are `scratch` buffers: a chunk loop
+    that passes the same `scratch` gets them rewritten, not reallocated.
     """
-    miss = n * (1.0 - _fidelity(c[0], s[0], c[1], s[1], cos_delta)) / (n + 1)
+    scratch = scratch or _Scratch()
+    miss = _fidelity(c[0], s[0], c[1], s[1], cos_delta, scratch)
+    np.subtract(1.0, miss, out=miss)
+    miss *= n
+    miss /= n + 1
+    p1 = np.multiply(params.c1, miss, out=scratch("pair.p1", miss.shape))
+    p2 = np.multiply(params.c2, miss, out=miss)
+
     flat_c, flat_s = c.reshape(-1), s.reshape(-1)
-    big, small = np.maximum(flat_c, flat_s), np.minimum(flat_c, flat_s)
-    small_sq = small * small
-    stay, move, cross = _tail_split_sums(n, big, small, small_sq)
-    kept = (big * big * stay + small_sq * move + 2 * big * small * cross).reshape(c.shape)
-    leak1 = params.c2 * (1.0 - kept[0])
-    leak2 = params.c1 * (1.0 - kept[1])
-    return params.c1 * miss, params.c2 * miss, leak1, leak2
+    big = np.maximum(flat_c, flat_s, out=scratch("pair.big", flat_c.shape))
+    small = np.minimum(flat_c, flat_s, out=scratch("pair.small", flat_c.shape))
+    # small^2 lives in the buffer of kept until kept is formed
+    small_sq = np.multiply(small, small, out=scratch("pair.kept", flat_c.shape))
+    stay, move, cross = _tail_split_sums(n, big, small, small_sq, scratch)
+    move *= small_sq
+    kept = np.multiply(big, big, out=small_sq)
+    kept *= stay
+    kept += move
+    big *= 2
+    big *= small
+    big *= cross
+    kept += big
+    leak = np.subtract(1.0, kept, out=kept).reshape(c.shape)
+    leak[0] *= params.c2
+    leak[1] *= params.c1
+    return p1, p2, leak[0], leak[1]
 
 
 def batch_success_probabilities(

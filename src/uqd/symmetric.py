@@ -125,8 +125,65 @@ class ReducedIndex:
         return cls(l, m, t)
 
 
+class _Scratch:
+    """Flat buffers kept by name, so a loop over chunks allocates its arrays
+    in the first (largest) chunk and none after it.
+
+    `scratch(name, shape)` is a C-contiguous view of the first prod(shape)
+    entries of the buffer `name`, made only when it is missing or too
+    small.  A view is valid until the next request for its name, so each
+    array a kernel holds at once has a name of its own.  Buffers are carved
+    from one arena of `capacity` bytes while they fit, and allocated on
+    their own after that.  A loop whose arena holds all its buffers makes
+    one large allocation per call, which glibc's malloc keeps for the next
+    call; many separate ones it would trim and fault in again every call.
+    `keep` holds what is built once per call, such as the walk's tables.
+    """
+
+    def __init__(self, capacity: int = 0) -> None:
+        self._arena = np.empty(capacity, np.uint8)
+        self._used = 0
+        self._kept: dict = {}
+
+    def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._kept.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._kept[name] = self._carve(size, np.dtype(dtype))
+        return buffer[:size].reshape(shape)
+
+    def _carve(self, size: int, dtype: np.dtype) -> np.ndarray:
+        start = -(-self._used // 64) * 64  # cache-line aligned
+        stop = start + size * dtype.itemsize
+        if stop > self._arena.size:
+            return np.empty(size, dtype)
+        self._used = stop
+        return self._arena[start:stop].view(dtype)
+
+    def keep(self, key: tuple, build):
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+
+def _walk_tables(n: int, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walk's up and down step ratios and its links, at index k + pad."""
+    k = np.arange(1, n + 1)
+    up = np.zeros(n + 1 + 2 * pad)  # w_k / w_{k-1} / x at k + pad
+    up[pad + 1 : pad + n + 1] = np.sqrt((n - k + 1) / k)
+    link = np.zeros_like(up)
+    link[pad + 1 : pad + n + 1] = np.sqrt(k * (n + 1 - k))
+    down = np.divide(1.0, up, out=np.zeros_like(up), where=up > 0)
+    return up, down, link
+
+
 def _mode_walk(
-    n: int, big: np.ndarray, small: np.ndarray, mode: np.ndarray, half_width: int
+    n: int,
+    big: np.ndarray,
+    small: np.ndarray,
+    mode: np.ndarray,
+    half_width: int,
+    scratch: _Scratch | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Walk the Dicke weights w_k = sqrt(C(n,k)) big^(n-k) small^k of n
     copies of the qubits (big, small) outward from their modes.
@@ -143,30 +200,43 @@ def _mode_walk(
 
     Yields (j, w, prev, link) per step, each O(rows): w at k = mode + j,
     prev the weight one step nearer the mode, and link = sqrt(k (n+1-k))
-    for the upper index k of that pair.
+    for the upper index k of that pair.  They are `scratch` buffers,
+    rewritten by the next step, and the O(n) tables are built once per
+    `scratch`, so a chunk loop that passes one allocates nothing after its
+    first chunk.
     """
     up_steps = min(half_width, n - int(mode.min(initial=n)))
     down_steps = min(half_width, int(mode.max(initial=0)))
     # Tables are indexed by k + pad, so a step that reads k = mode + j in
-    # every row gathers table[pad + j:] by the mode.
-    pad = max(up_steps, down_steps) + 1
-    k = np.arange(1, n + 1)
-    up = np.zeros(n + 1 + 2 * pad)  # w_k / w_{k-1} / x at k + pad
-    up[pad + 1 : pad + n + 1] = np.sqrt((n - k + 1) / k)
-    link = np.zeros_like(up)
-    link[pad + 1 : pad + n + 1] = np.sqrt(k * (n + 1 - k))
-    down = np.divide(1.0, up, out=np.zeros_like(up), where=up > 0)
-    # only rows with mode >= 1 step down, and they have small >= 1/sqrt(n+1)
-    inv_x = np.divide(big, small, out=np.zeros_like(big), where=mode > 0)
+    # every row gathers table[pad + j:] by the mode.  The gather clips, as
+    # mode="raise" buffers `out`; every index is in range anyway.
+    pad = min(half_width, n) + 1
+    scratch = scratch or _Scratch()
+    up, down, link = scratch.keep(("walk", n, pad), lambda: _walk_tables(n, pad))
+    shape = big.shape
+    factor = scratch("walk.factor", shape)
+    link_at = scratch("walk.link", shape)
+    spare = scratch("walk.w", shape)
+    step_w = scratch("walk.next_w", shape)
 
-    sides = ((1, up, small / big, up_steps), (-1, down, inv_x, down_steps))
-    for sign, ratio, factor, steps in sides:
+    for sign, ratio, steps in ((1, up, up_steps), (-1, down, down_steps)):
+        if sign > 0:
+            np.divide(small, big, out=factor)
+        else:
+            # only rows with mode >= 1 step down, and they have small >=
+            # 1/sqrt(n+1)
+            factor.fill(0.0)
+            stepping = np.greater(mode, 0, out=scratch("walk.stepping", shape, bool))
+            np.divide(big, small, out=factor, where=stepping)
         w = 1.0
         for step in range(1, steps + 1):
             at = pad + sign * step + (sign < 0)  # upper index of the pair
-            next_w = w * ratio[at:].take(mode) * factor
-            yield sign * step, next_w, w, link[at:].take(mode)
-            w = next_w
+            np.take(ratio[at:], mode, mode="clip", out=step_w)
+            step_w *= w
+            step_w *= factor
+            np.take(link[at:], mode, mode="clip", out=link_at)
+            yield sign * step, step_w, w, link_at
+            w, step_w, spare = step_w, spare, step_w
 
 
 def dicke_magnitudes_batch(n: int, thetas: np.ndarray) -> np.ndarray:

@@ -6,6 +6,10 @@ are reproducible rather than flaky.
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,7 +33,7 @@ from uqd.montecarlo import (
 )
 from uqd.povm import PovmParams, batch_success_probabilities
 from uqd.strategy import DiscriminatorConfig, decide
-from uqd.symmetric import BlochQubit
+from uqd.symmetric import BlochQubit, _Scratch
 
 
 def test_make_rng_validation():
@@ -263,6 +267,20 @@ def test_outcome_tally_equals_the_masked_route(n, eta1, kind, a, b, shots, seed)
     assert all(isinstance(v, int) for v in counts.to_dict().values())
 
 
+@pytest.mark.parametrize("seed", [0, 13])
+def test_outcome_tally_does_not_depend_on_chunk_size(seed, monkeypatch):
+    # the chunks draw the rows of one shot table in turn, and their tallies
+    # add up to the masked route's counts over the whole table
+    shots = 20000
+    config = DiscriminatorConfig(3, 0.45)
+    psi1, psi2 = BlochQubit(0.7, 0.2), BlochQubit(2.1, 3.5)
+    expected = _masked_outcomes(psi1, psi2, config, shots, seed)
+    assert expected.identify1 > 0 and expected.identify2 > 0 and expected.fail > 0
+    for rows in (1, 7, 8192, shots):
+        monkeypatch.setattr(uqd.montecarlo, "_CHUNK_ROWS", rows)
+        assert simulate_outcomes(psi1, psi2, config, shots, seed) == expected
+
+
 def test_chunk_layout_is_row_stable():
     # counter-based stream: sample i occupies row i however the batch splits
     long = make_rng(31).random((5000, 4))
@@ -272,14 +290,31 @@ def test_chunk_layout_is_row_stable():
 
 @pytest.mark.parametrize("n", [3, 50])
 def test_results_do_not_depend_on_chunk_size(n, monkeypatch):
-    samples = 10000
+    # 10000 samples fill part of one block of the streamed moments, 70001
+    # fill two and part of a third
     params = PovmParams(0.45, 0.55)
-    default_report = mc_average_success(n, params, 0.4, samples, 17)
-    default_stats = _projector_mean_stats(n, samples, 17)
-    for rows in (1000, 4096, samples):
+    for samples, chunk_rows in ((10000, (1000, 4096)), (70001, (1000, 8192, 2**15))):
+        monkeypatch.setattr(uqd.montecarlo, "_CHUNK_ROWS", 8192)
+        default_report = mc_average_success(n, params, 0.4, samples, 17)
+        default_stats = _projector_mean_stats(n, samples, 17)
+        for rows in (*chunk_rows, samples):
+            monkeypatch.setattr(uqd.montecarlo, "_CHUNK_ROWS", rows)
+            assert mc_average_success(n, params, 0.4, samples, 17) == default_report
+            assert _projector_mean_stats(n, samples, 17) == default_stats
+
+
+def test_block_boundaries_do_not_follow_chunks(monkeypatch):
+    # single-row and 7-row chunks across many block boundaries, with the
+    # block shrunk to 64 samples: at the full 2^15 a run of one-row chunks
+    # past one block would take seconds
+    monkeypatch.setattr(uqd.montecarlo, "_BLOCK", 64)
+    samples, params = 1000, PovmParams(0.45, 0.55)
+    default_report = mc_average_success(3, params, 0.4, samples, 17)
+    default_stats = _projector_mean_stats(3, samples, 17)
+    for rows in (1, 7, 64, 100, samples):
         monkeypatch.setattr(uqd.montecarlo, "_CHUNK_ROWS", rows)
-        assert mc_average_success(n, params, 0.4, samples, 17) == default_report
-        assert _projector_mean_stats(n, samples, 17) == default_stats
+        assert mc_average_success(3, params, 0.4, samples, 17) == default_report
+        assert _projector_mean_stats(3, samples, 17) == default_stats
 
 
 @settings(max_examples=15, deadline=None)
@@ -397,19 +432,166 @@ def test_average_equals_an_all_at_once_reference(n):
     assert report.error_events == 0
 
 
-def test_average_peak_memory_is_one_sample_array():
-    # the weighted samples are the one array of their size: the variance is
-    # taken in place, not through np.std's same-sized temporary
-    samples = 10**6
+def _weighted_reference(n, params, eta1, samples, seed):
+    """The weighted pair successes from the whole Philox table at once."""
+    u = make_rng(seed).random((samples, 4))
+    c1, c2 = np.sqrt(u[:, 0]), np.sqrt(u[:, 2])
+    s1, s2 = np.sqrt(1.0 - u[:, 0]), np.sqrt(1.0 - u[:, 2])
+    cos_delta = np.cos(2 * math.pi * u[:, 1] - 2 * math.pi * u[:, 3])
+    cc, ss = c1 * c2, s1 * s2
+    miss = n * (1.0 - (cc * cc + ss * ss + 2 * cc * ss * cos_delta)) / (n + 1)
+    return eta1 * (params.c1 * miss) + (1.0 - eta1) * (params.c2 * miss)
+
+
+def _blocked_moments(values, block):
+    """Mean and standard error over fixed blocks of `block` values: per
+    block the reduce of the values and of the squared deviations, merged
+    in order by the Chan, Golub and LeVeque update."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, len(values), block):
+        part = values[start : start + block]
+        part_mean = np.add.reduce(part) / len(part)
+        deviation = part - part_mean
+        part_m2 = float(np.add.reduce(deviation * deviation))
+        if count == 0:
+            count, mean, m2 = len(part), float(part_mean), part_m2
+            continue
+        total = count + len(part)
+        delta = float(part_mean) - mean
+        mean += delta * len(part) / total
+        m2 += part_m2 + delta * delta * count * len(part) / total
+        count = total
+    return mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_average_over_blocks_equals_a_blocked_reference(n):
+    # three full blocks of 2^15 samples and 123 more: bit for bit
+    # the blocked reference, and within 4 ulps of numpy's one-pass mean and
+    # std(ddof=1) (at most 2 ulps of the mean and 1 of the standard error
+    # were seen over 120 seeded runs)
+    samples, seed, eta1 = 3 * 2**15 + 123, 41, 0.35
+    params = PovmParams(0.6, 0.3)
+    report = mc_average_success(n, params, eta1, samples, seed)
+    weighted = _weighted_reference(n, params, eta1, samples, seed)
+    assert (report.mean_success, report.std_error) == _blocked_moments(weighted, 2**15)
+    mean = float(np.mean(weighted))
+    std_error = float(np.std(weighted, ddof=1) / math.sqrt(samples))
+    assert abs(report.mean_success - mean) <= 4 * math.ulp(mean)
+    assert abs(report.std_error - std_error) <= 4 * math.ulp(std_error)
+    assert report.error_events == 0
+
+
+def test_average_peak_memory_does_not_grow_with_samples():
+    # the moments stream over one 2^15-sample block and every chunk reuses
+    # the first chunk's buffers, so ten times the samples costs no memory
     params = PovmParams(0.6, 0.3)
     mc_average_success(7, params, 0.35, 1000, 1)
+    peaks = []
+    for samples in (10**5, 10**6):
+        tracemalloc.start()
+        try:
+            mc_average_success(7, params, 0.35, samples, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 2**10
+    assert max(peaks) < 3 * 2**20
+
+
+def test_outcome_tally_peak_memory_is_one_chunk():
+    config = DiscriminatorConfig(2, 0.6)
+    q1, q2 = BlochQubit(0.5, 0.1), BlochQubit(1.9, 2.0)
+    simulate_outcomes(q1, q2, config, 1000, 1)
     tracemalloc.start()
     try:
-        mc_average_success(7, params, 0.35, samples, 1)
+        simulate_outcomes(q1, q2, config, 10**6, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * samples + 4 * 2**20
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8192])
+def test_chunk_buffers_fit_one_arena(rows, monkeypatch):
+    # every buffer of each chunk loop is carved from the arena its loop
+    # sizes, so a call makes one large allocation
+    made = []
+
+    class RecordedScratch(_Scratch):
+        def __init__(self, capacity=0):
+            super().__init__(capacity)
+            made.append(self)
+
+    monkeypatch.setattr(uqd.montecarlo, "_Scratch", RecordedScratch)
+    monkeypatch.setattr(uqd.montecarlo, "_CHUNK_ROWS", rows)
+    mc_average_success(1, PovmParams(0.5, 0.5), 0.4, 1000, 1)
+    mc_average_success(500, PovmParams(0.5, 0.5), 0.4, 1000, 1)
+    _projector_mean_stats(3, 1000, 1)
+    simulate_outcomes(BlochQubit(0.5, 0.1), BlochQubit(1.9, 2.0), DiscriminatorConfig(2, 0.6), 1000, 1)
+    assert len(made) == 4
+    for scratch in made:
+        buffers = [b for b in scratch._kept.values() if isinstance(b, np.ndarray)]
+        assert buffers and all(np.shares_memory(b, scratch._arena) for b in buffers)
+
+
+def _fault_probe(code):
+    """Run `code` in a fresh interpreter without any MALLOC_ or glibc
+    tunable variable, so no malloc setting can help, and return its output."""
+    src = str(pathlib.Path(uqd.montecarlo.__file__).resolve().parents[1])
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"
+    }
+    env["PYTHONPATH"] = src
+    preamble = (
+        "import resource\n"
+        "from uqd.montecarlo import mc_average_success\n"
+        "from uqd.povm import PovmParams\n"
+        "params = PovmParams(0.6, 0.3)\n"
+        "def faults():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", preamble + code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout
+
+
+linux_faults = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="getrusage ru_minflt counts minor page faults as Linux reports them",
+)
+
+
+@linux_faults
+def test_fresh_process_average_makes_few_page_faults():
+    # the chunk buffers are faulted in once per call, not once per chunk;
+    # with per-chunk temporaries the same call took 22-33 k faults
+    out = _fault_probe(
+        "before = faults()\n"
+        "mc_average_success(1, params, 0.4, 10**6, 7)\n"
+        "print(faults() - before)\n"
+    )
+    assert int(out) < 5000
+
+
+@linux_faults
+def test_repeated_small_averages_reuse_their_memory():
+    # one arena per call: from the third call on, malloc hands back the
+    # memory of the last one, where separate buffers were trimmed and
+    # faulted in again (about 500 pages a call)
+    out = _fault_probe(
+        "for seed in range(5):\n"
+        "    before = faults()\n"
+        "    mc_average_success(3, params, 0.4, 20000, seed)\n"
+        "    print(faults() - before)\n"
+    )
+    assert [int(line) < 50 for line in out.split()][2:] == [True] * 3
 
 
 class _NumpyWithoutJoins:

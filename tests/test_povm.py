@@ -552,8 +552,8 @@ def test_leak_check_sees_a_dropped_cross_term(monkeypatch):
     # is wrong, and both the batch leaks and the Monte Carlo report show it
     real_sums = uqd.povm._tail_split_sums
 
-    def no_cross(n, big, small, small_sq):
-        stay, move, cross = real_sums(n, big, small, small_sq)
+    def no_cross(n, big, small, small_sq, scratch=None):
+        stay, move, cross = real_sums(n, big, small, small_sq, scratch)
         return stay, move, np.zeros_like(cross)
 
     monkeypatch.setattr(uqd.povm, "_tail_split_sums", no_cross)
