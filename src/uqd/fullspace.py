@@ -13,25 +13,33 @@ enumerated by popcount, and the inverse permutation gathers them back.  The
 two permutations and D form the group's plan, built once per (n, sorted
 group) and kept read-only in a bounded cache that holds every production
 group.  Complex states are applied through a float64 view, so every product
-is a real one.
+is a real one.  The pass runs the same kernel, `_project_into`, which writes
+through `out=` into buffers it is given.
 
-Every full-space array of the pass is sized by one budget of
-`_BASIS_DOUBLES` doubles (512 KB), so that a batch's arrays stay in a 4 MB
-L2 cache.  The whole-space checks apply both projectors to every basis
-column, a batch of columns at a time, in one reused identity buffer.  The
-block check projects the columns of the embedding a batch at a time, and
-the sampled qubit pairs are checked a batch at a time: 16 of the 100 pairs
-at n = 5.  The batch sizes do not change any result.  The dense references
-are array passes over the bit table and `math.comb`:
+The embedding E of the reduced basis is never formed either:
+`_reduced_index_map` gives the one column and amplitude of each full-space
+basis state.  E a is the gather a[column] * amplitude; E^T E is diagonal,
+with the squared amplitudes summed per column by `np.bincount`; and E^T y is
+a segmented sum, the entries of y sorted by column once per n, weighted and
+summed per column by `np.add.reduceat`.
+
+Every full-space array of the pass is a view of four buffers allocated once
+per call and rewritten in place, each sized for a batch of `_BASIS_DOUBLES`
+doubles (512 KB) at n = 5.  The whole-space checks apply both projectors to
+every basis column, a batch of identity columns at a time; the block check
+projects the images of the reduced basis vectors, written into a buffer from
+the index map, a batch at a time; and the sampled qubit pairs are checked a
+batch at a time, 16 of the 100 pairs at n = 5, with their Kronecker products
+built in a buffer too.  The batch sizes do not change any result.  The dense
+references are array passes over the bit table and `math.comb`:
 `symmetric_projector_full` compares keys (outside bits, inside popcount),
-and `reduced_basis_matrix` writes `_reduced_index_map`, the one column and
-amplitude of each basis state, into a dense view.  The input-embedding
-check lifts reduced states through that map with one gather.  The reduced
-side the pass checks is built in one batched call per (n, which, batch),
-from one table of sampled qubits per n.  The oracle is capped at n <= 5
-(dimension 2048); `run_verification(5)` runs all 55 checks in 0.15-0.20 s
-on a 2-core VM, and its `tracemalloc` peak is 5.6 MB, most of it in the
-block check.
+and `reduced_basis_matrix` writes the index map into a dense view; the tests
+compare against both, and the pass calls neither.  The reduced side the pass
+checks is built in one batched call per (n, which, batch), from one table of
+sampled qubits per n.  The oracle is capped at n <= 5 (dimension 2048).  On
+a 2-core VM, `run_verification(5)` runs all 55 checks in 0.15 s and about
+1 k minor page faults on a first call, and in 0.11 s and under a dozen
+faults from its third call on; its `tracemalloc` peak is 2.96 MiB.
 """
 
 from __future__ import annotations
@@ -129,18 +137,34 @@ def _qubit_amplitudes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
 
 
 def tensor_inputs(
-    psi1s: list[BlochQubit], psi2s: list[BlochQubit], n: int, which: int
+    psi1s: list[BlochQubit],
+    psi2s: list[BlochQubit],
+    n: int,
+    which: int,
+    buffer: np.ndarray | None = None,
 ) -> np.ndarray:
     """Kronecker products over positions 1..2n+1, one row per qubit pair:
-    psi1 on odd, psi2 on even, the selected qubit on the tail."""
+    psi1 on odd, psi2 on even, the selected qubit on the tail.
+
+    The rows are the (pairs, 2^(2n+1)) front of `buffer`, a flat complex128
+    array of at least 1.5 times that size, allocated if not given; the
+    partial products alternate between the front and the space behind it.
+    Each is the same broadcast multiply as into a new array, so the rows
+    are too."""
     _check_full(n)
     theta1, phi1, theta2, phi2 = pair_angles(psi1s, psi2s, which)
     amps1 = _qubit_amplitudes(theta1, phi1)
     amps2 = _qubit_amplitudes(theta2, phi2)
+    size = len(psi1s) * full_dim(n)
+    if buffer is None:
+        buffer = np.empty(3 * size // 2, dtype=complex)
     states = np.ones((len(psi1s), 1), dtype=complex)
-    for qubit in [amps1, amps2] * n + [amps1 if which == 1 else amps2]:
-        product = states[:, :, None] * qubit[:, None, :]
-        states = product.reshape(len(states), -1)
+    for j, qubit in enumerate([amps1, amps2] * n + [amps1 if which == 1 else amps2]):
+        # the last of the 2n+1 products, j = 2n, lands in front
+        start = size * (j % 2)
+        product = buffer[start : start + 2 * states.size].reshape(len(states), -1, 2)
+        states = np.multiply(states[:, :, None], qubit[:, None, :], out=product)
+        states = states.reshape(len(states), -1)
     return states
 
 
@@ -188,6 +212,26 @@ def _projector_plan(
     return order, inverse, dicke
 
 
+def _project_into(
+    n: int,
+    inside: tuple[int, ...],
+    real: np.ndarray,
+    out: np.ndarray,
+    spare: np.ndarray,
+) -> np.ndarray:
+    """The apply of `apply_symmetric_projector` on float64 (rows, dim, parts)
+    arrays for the sorted group `inside`, written into `out`, with `spare`
+    holding the gathered rows and their product.  `out` and `spare` are
+    C-contiguous, and neither shares memory with `real` or the other."""
+    order, inverse, dicke = _projector_plan(n, inside)
+    # mode="clip" writes straight into `out`; mode="raise" would buffer it
+    np.take(real, order, axis=1, out=spare, mode="clip")
+    flat = spare.reshape(-1, 2 ** (n + 1), 2**n * spare.shape[-1])
+    np.matmul(dicke.T, dicke @ flat, out=flat)
+    # a second gather, not a scatter into `order`, which measured slower
+    return np.take(spare, inverse, axis=1, out=out, mode="clip")
+
+
 def apply_symmetric_projector(
     n: int, positions: tuple[int, ...], states: np.ndarray
 ) -> np.ndarray:
@@ -201,7 +245,8 @@ def apply_symmetric_projector(
     gathered back by the inverse permutation.  Complex states go through a
     float64 view with the real and imaginary parts side by side, so D
     multiplies them in one real product.  The result is complex128 for
-    complex input and float64 otherwise.
+    complex input and float64 otherwise.  The verification pass runs the
+    same kernel, `_project_into`, in buffers of its own.
     """
     inside = _projected_group(n, positions)
     states = np.asarray(states)
@@ -213,11 +258,7 @@ def apply_symmetric_projector(
     dtype, parts = (np.complex128, 2) if np.iscomplexobj(states) else (np.float64, 1)
     rows = np.ascontiguousarray(states, dtype=dtype).reshape(-1, dim)
     real = rows.view(np.float64).reshape(len(rows), dim, parts)
-    order, inverse, dicke = _projector_plan(n, inside)
-    gathered = np.take(real, order, axis=1).reshape(-1, 2 ** (n + 1), 2**n * parts)
-    projected = (dicke.T @ (dicke @ gathered)).reshape(real.shape)
-    # a second gather, not a scatter into `order`, which measured slower
-    applied = np.take(projected, inverse, axis=1)
+    applied = _project_into(n, inside, real, np.empty_like(real), np.empty_like(real))
     return applied.view(dtype).reshape(states.shape)
 
 
@@ -304,10 +345,13 @@ class CheckResult:
 
 # doubles per batch of full-space rows: the whole-space checks take
 # max(1, _BASIS_DOUBLES // dim) identity columns at a time, 32 (512 KB) at
-# n = 5 and every column at n <= 3, so the half-dozen such arrays one batch
-# keeps live fit a 4 MB L2 cache, which 256-column (4 MB) batches did not;
+# n = 5 and every column at n <= 3, so the four buffers of a pass (2 MB at
+# n = 5) fit a 4 MB L2 cache, which 256-column (4 MB) batches did not;
 # `_block_check` takes as many rows of E^T, and the pair loop half as many
-# complex rows (16 pairs at n = 5, all 100 at n <= 3)
+# complex rows (16 pairs at n = 5, all 100 at n <= 3).  With all of the
+# pass's full-space arrays in those buffers, a child `uqd verify --n-max 5`
+# takes 0.56 s, 41.3 MB peak RSS and 5.9 k minor page faults on a 2-core VM
+# (0.63 s, 44.7 MB and 21 k with arrays made per batch and a dense E)
 _BASIS_DOUBLES = 2**16
 
 # qubit pairs sampled per n, and the seed of the one generator they come from
@@ -315,41 +359,70 @@ VERIFY_PAIRS = 100
 VERIFY_SEED = 2024
 
 
-def _expectations(states: np.ndarray, applied: np.ndarray) -> np.ndarray:
-    """Re <psi|A psi> per row, given the rows psi and A psi: one real product
-    per part, Re <s|a> = <s.re|a.re> + <s.im|a.im>, so no conjugate is
-    copied.  The rows are complex."""
-    return np.sum(states.real * applied.real, axis=-1) + np.sum(
-        states.imag * applied.imag, axis=-1
-    )
+def _batches(n: int) -> tuple[int, int, int]:
+    """Rows per batch of the whole-space checks (identity columns), of
+    `_block_check` (rows of E^T) and of the pair loop (complex rows)."""
+    rows = max(1, _BASIS_DOUBLES // full_dim(n))
+    pairs = max(1, rows // 2)
+    return min(rows, full_dim(n)), min(rows, reduced_dim(n)), min(pairs, VERIFY_PAIRS)
+
+
+def _oracle_buffers(n_max: int) -> np.ndarray:
+    """Four float64 buffers, as the rows of one array, each large enough for
+    a batch of any of the three loops at any n up to n_max.  The loops
+    rewrite them in place, so a pass allocates its full-space arrays once:
+    arrays made per batch were trimmed by malloc and faulted in again."""
+    sizes = [
+        full_dim(n) * max(columns, rows, 2 * pairs)
+        for n in range(1, n_max + 1)
+        for columns, rows, pairs in [_batches(n)]
+    ]
+    return np.empty((4, max(sizes)))
+
+
+def _expectations(
+    states: np.ndarray, applied: np.ndarray, product: np.ndarray | None = None
+) -> np.ndarray:
+    """Re <psi|A psi> per row, given the complex rows psi and A psi: one real
+    product per part, Re <s|a> = <s.re|a.re> + <s.im|a.im>, so no conjugate
+    is copied.  Each product is written into the real buffer `product`,
+    if one is given."""
+    real = np.sum(np.multiply(states.real, applied.real, out=product), axis=-1)
+    return real + np.sum(np.multiply(states.imag, applied.imag, out=product), axis=-1)
 
 
 def _whole_space_checks(
-    n: int, even_tail: tuple[int, ...], odd_tail: tuple[int, ...]
+    n: int,
+    even_tail: tuple[int, ...],
+    odd_tail: tuple[int, ...],
+    buffers: np.ndarray | None = None,
 ) -> tuple[float, float, float]:
     """(idempotence deviation of P_even, trace of P_even, trace of P_odd),
     with both projectors applied to every basis column, a batch of columns
-    at a time, all in one identity buffer whose ones are set before a
-    batch's applies and reset after.  Each column's arithmetic does not
-    depend on the batch, and neither `max` nor `math.fsum` on the order, so
-    the results do not depend on the batch size."""
-    dim = full_dim(n)
-    batch = min(dim, max(1, _BASIS_DOUBLES // dim))
-    identity = np.zeros((batch, dim))
+    at a time.  The identity, P_even, P_odd and the spare are views of the
+    four `buffers` (allocated here if not given); the identity's ones are
+    set before a batch's applies and reset after, and both diagonals are
+    read before P_even P_even is written over P_odd.  Each column's arithmetic does not depend on the batch, and
+    neither `max` nor `math.fsum` on the order, so the results do not
+    depend on the batch size."""
+    dim, batch = full_dim(n), _batches(n)[0]
+    buffers = _oracle_buffers(n) if buffers is None else buffers
+    buffers[0].fill(0.0)
     diagonals = np.empty((2, dim))
     idem = 0.0
     for start in range(0, dim, batch):
         rows = np.arange(min(batch, dim - start))
         index = start + rows
-        columns = identity[: len(rows)]
-        columns[rows, index] = 1.0
-        p_even = apply_symmetric_projector(n, even_tail, columns)
-        p_odd = apply_symmetric_projector(n, odd_tail, columns)
-        columns[rows, index] = 0.0
-        twice = apply_symmetric_projector(n, even_tail, p_even)
+        views = buffers[:, : rows.size * dim].reshape(4, -1, dim, 1)
+        identity, p_even, p_odd, spare = views
+        identity[rows, index] = 1.0
+        _project_into(n, even_tail, identity, p_even, spare)
+        _project_into(n, odd_tail, identity, p_odd, spare)
+        identity[rows, index] = 0.0
+        diagonals[:, index] = p_even[rows, index, 0], p_odd[rows, index, 0]
+        twice = _project_into(n, even_tail, p_even, p_odd, spare)
         np.abs(np.subtract(twice, p_even, out=twice), out=twice)
         idem = max(idem, float(np.max(twice)))
-        diagonals[:, index] = p_even[rows, index], p_odd[rows, index]
     return idem, math.fsum(diagonals[0]), math.fsum(diagonals[1])
 
 
@@ -357,19 +430,25 @@ def run_verification(n_max: int) -> list[CheckResult]:
     """Cross-check the reduced-basis machinery against the full-space oracle
     for every n up to n_max.  Returns one result per named check.
 
-    Every full-space projector is applied through `apply_symmetric_projector`;
-    no 2^(2n+1)-square matrix is formed."""
+    Every full-space projector is applied through `_project_into`, the
+    kernel of `apply_symmetric_projector`, and the embedding through
+    `_reduced_index_map`; no 2^(2n+1)-square matrix and no dense embedding
+    is formed.  The full-space arrays are views of `_oracle_buffers(n_max)`,
+    allocated once per call."""
     _check_full(n_max)
     rng = np.random.default_rng(VERIFY_SEED)
     results: list[CheckResult] = []
+    buffers = _oracle_buffers(n_max)
 
     for n in range(1, n_max + 1):
-        embedding = reduced_basis_matrix(n)
-        gram = embedding.T @ embedding
+        # E has one entry per row, so E^T E is diagonal and its diagonal is
+        # the sum of the squared amplitudes in each column
+        column, amplitude = _reduced_index_map(n)
+        gram = np.bincount(column, amplitude**2, reduced_dim(n))
         results.append(
             CheckResult(
                 f"n={n} reduced embedding orthonormal",
-                np.max(np.abs(gram - np.eye(reduced_dim(n)))),
+                np.max(np.abs(gram - 1.0)),
                 1e-12,
             )
         )
@@ -382,7 +461,9 @@ def run_verification(n_max: int) -> list[CheckResult]:
             2: build_symmetric_projector(n, Block.ODD_TAIL).entries,
         }
 
-        idem, even_trace, odd_trace = _whole_space_checks(n, even_tail, odd_tail)
+        idem, even_trace, odd_trace = _whole_space_checks(
+            n, even_tail, odd_tail, buffers
+        )
         results.append(CheckResult(f"n={n} full projector idempotent", idem, 1e-10))
 
         trace_dev = max(
@@ -397,29 +478,37 @@ def run_verification(n_max: int) -> list[CheckResult]:
         scales = {1: params.c1, 2: params.c2}
         triple = build_povm(n, params)
 
-        # a complex amplitude is two doubles, so a batch of pairs holds as
-        # many doubles as a batch of identity columns
-        pair_batch = max(1, _BASIS_DOUBLES // (2 * full_dim(n)))
-        column, amplitude = _reduced_index_map(n)
+        # per batch of pairs: A psi (before it, the embedding's error) and
+        # the apply's spare in the first two buffers; the rows psi in front
+        # of the last two, whose partial products run on behind them; then
+        # the real products of `_expectations` in the last
+        pair_batch, dim = _batches(n)[2], full_dim(n)
+        kron = buffers[2:].reshape(-1).view(complex)
         qubits = sample_qubits(rng, 2 * VERIFY_PAIRS)
         firsts, seconds = qubits[0::2], qubits[1::2]
         embed_dev = overlap_dev = success_dev = leak_dev = 0.0
         for start in range(0, VERIFY_PAIRS, pair_batch):
             psi1s = firsts[start : start + pair_batch]
             psi2s = seconds[start : start + pair_batch]
+            k = len(psi1s)
+            lifted, spare = buffers[:2, : 2 * k * dim].reshape(2, k, dim, 2)
+            applied = lifted.view(complex)[..., 0]
+            product = buffers[3, : k * dim].reshape(k, dim)
             for which in (1, 2):
                 wrong = 3 - which
-                full = tensor_inputs(psi1s, psi2s, n, which)
+                full = tensor_inputs(psi1s, psi2s, n, which, kron)
+                real = full.view(np.float64).reshape(k, dim, 2)
                 amplitudes = build_input_states(psi1s, psi2s, n, which)
+                np.take(amplitudes, column, axis=1, out=applied, mode="clip")
+                applied *= amplitude
+                applied -= full
                 embed_dev = max(
-                    embed_dev,
-                    float(np.max(np.abs(amplitudes[:, column] * amplitude - full))),
+                    embed_dev, float(np.max(np.abs(applied, out=product)))
                 )
 
-                norms = _expectations(full, full)
-                e_full = _expectations(
-                    full, apply_symmetric_projector(n, groups[which], full)
-                )
+                norms = _expectations(full, full, product)
+                _project_into(n, groups[which], real, lifted, spare)
+                e_full = _expectations(full, applied, product)
                 e_red = _expectations(amplitudes, amplitudes @ p_red[which].T)
                 e_closed = closed_form_expectations(psi1s, psi2s, n, which)
                 overlap_dev = max(
@@ -435,9 +524,8 @@ def run_verification(n_max: int) -> list[CheckResult]:
                 success_dev = max(
                     success_dev, float(np.max(np.abs(success_full - success_red)))
                 )
-                e_wrong = _expectations(
-                    full, apply_symmetric_projector(n, groups[wrong], full)
-                )
+                _project_into(n, groups[wrong], real, lifted, spare)
+                e_wrong = _expectations(full, applied, product)
                 leak = scales[wrong] * (norms - e_wrong)
                 leak_dev = max(leak_dev, float(np.max(np.abs(leak))))
         results.append(CheckResult(f"n={n} input embedding matches", embed_dev, 1e-10))
@@ -481,7 +569,9 @@ def run_verification(n_max: int) -> list[CheckResult]:
             CheckResult(f"n={n} antisymmetric pair annihilated", annihilated, 1e-12)
         )
 
-        results.append(_block_check(n, PovmParams(0.3, 0.4), embedding))
+        results.append(
+            _block_check(n, PovmParams(0.3, 0.4), column, amplitude, buffers)
+        )
 
         spectral_dev = 0.0
         for c1, c2 in ((0.3, 0.4), (0.7, 0.2), (1.0, 1.0)):
@@ -498,11 +588,45 @@ def run_verification(n_max: int) -> list[CheckResult]:
     return results
 
 
-def _block_check(n: int, params: PovmParams, embedding: np.ndarray) -> CheckResult:
+def _column_segments(column: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(by_column, starts): the full-space indices in a stable sort by their
+    reduced column, and where each of the `size` columns, then the end,
+    starts in that order."""
+    by_column = np.argsort(column, kind="stable")
+    return by_column, np.searchsorted(column[by_column], np.arange(size + 1))
+
+
+def _embedding_transpose(
+    rows: np.ndarray, amplitude: np.ndarray, segments: tuple, spare: np.ndarray
+) -> np.ndarray:
+    """E^T of float64 (rows, dim, parts) rows, as (rows, size, parts): each
+    row's entries in column order, times their amplitudes, summed per column
+    by one `np.add.reduceat`.  E has one entry per full-space row, so this is
+    the product with E^T without its zeros.  `spare` is a C-contiguous array
+    of the shape of `rows` that holds the weighted entries."""
+    by_column, starts = segments
+    np.take(rows, by_column, axis=1, out=spare, mode="clip")
+    spare *= amplitude[by_column, None]
+    return np.add.reduceat(spare, starts[:-1], axis=1)
+
+
+def _block_check(
+    n: int,
+    params: PovmParams,
+    column: np.ndarray,
+    amplitude: np.ndarray,
+    buffers: np.ndarray,
+) -> CheckResult:
     """Block sizes, per-block eigenvalue pairing and the shared extreme pair,
     for the dense extracted blocks and for the sector blocks; the sector
     blocks, put back on the diagonal, must also equal E^T pi0_full E, with E
-    the full-space images of the reduced basis vectors."""
+    the full-space images of the reduced basis vectors, given by the index
+    map (column, amplitude) of `_reduced_index_map`.
+
+    A batch of images at a time is written from the map into the first of
+    the four `buffers` and reset after its applies; E^T y is the segmented
+    sum of `_embedding_transpose`, over one sort by column per n.  No dense
+    E is formed."""
     triple = build_povm(n, params)
     basis = build_transform(n)
     extracted = extract_blocks(transformed_pi0(triple, basis), basis)
@@ -530,18 +654,28 @@ def _block_check(n: int, params: PovmParams, embedding: np.ndarray) -> CheckResu
     # columns of E (held as rows), a batch of rows at a time
     even_tail = even_positions(n) + (tail_position(n),)
     odd_tail = odd_positions(n) + (tail_position(n),)
-    size = reduced_dim(n)
-    batch = max(1, _BASIS_DOUBLES // full_dim(n))
+    size, dim = reduced_dim(n), full_dim(n)
+    batch = _batches(n)[1]
+    buffers[0].fill(0.0)
+    by_column, starts = segments = _column_segments(column, size)
     oracle = np.empty((size, size))
     for start in range(0, size, batch):
-        rows = slice(start, start + batch)
-        images = np.ascontiguousarray(embedding[:, rows].T)
-        pi0_images = (
-            (1.0 - params.c1 - params.c2) * images
-            + params.c1 * apply_symmetric_projector(n, even_tail, images)
-            + params.c2 * apply_symmetric_projector(n, odd_tail, images)
-        )
-        oracle[:, rows] = embedding.T @ pi0_images.T
+        stop = min(start + batch, size)
+        views = buffers[:, : (stop - start) * dim].reshape(4, -1, dim, 1)
+        images, p_even, p_odd, pi0 = views
+        entries = by_column[starts[start] : starts[stop]]
+        rows = column[entries] - start
+        images[rows, entries, 0] = amplitude[entries]
+        _project_into(n, even_tail, images, p_even, pi0)
+        _project_into(n, odd_tail, images, p_odd, pi0)
+        np.multiply(images, 1.0 - params.c1 - params.c2, out=pi0)
+        images[rows, entries, 0] = 0.0
+        p_even *= params.c1
+        p_odd *= params.c2
+        pi0 += p_even
+        pi0 += p_odd
+        reduced = _embedding_transpose(pi0, amplitude, segments, p_even)
+        oracle[:, start:stop] = reduced[..., 0].T
     assembled = np.zeros_like(oracle)
     for s, block in enumerate(sectors):
         members = [

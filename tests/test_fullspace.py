@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -71,6 +75,9 @@ def test_tensor_inputs_rows_match_kron_chain():
     for which in (1, 2):
         rows = tensor_inputs(firsts, seconds, n, which)
         assert rows.shape == (4, full_dim(n))
+        # into a NaN-filled buffer, whose front the rows become
+        buffer = np.full(6 * full_dim(n) + 3, np.nan, dtype=complex)
+        assert np.array_equal(tensor_inputs(firsts, seconds, n, which, buffer), rows)
         for row, psi1, psi2 in zip(rows, firsts, seconds):
             tail = psi1 if which == 1 else psi2
             vec = np.ones(1)
@@ -250,6 +257,23 @@ def test_apply_equals_moveaxis_formulation_on_production_groups(n):
         _assert_apply_equals_moveaxis(n, positions, rng)
 
 
+@pytest.mark.parametrize("n", range(1, FULL_N_MAX + 1))
+def test_kernel_writes_every_entry_of_its_buffers(n):
+    # `out` and `spare` start as NaN, so an entry the kernel read before
+    # writing would show; the result is the public apply's, bit for bit
+    rng = np.random.default_rng(200 + n)
+    shape = (3, full_dim(n))
+    real = rng.normal(size=shape)
+    for states in (real, real + 1j * rng.normal(size=shape)):
+        view = states.view(np.float64).reshape(3, full_dim(n), -1)
+        for group in _production_groups(n):
+            out, spare = np.full((2,) + view.shape, np.nan)
+            applied = uqd.fullspace._project_into(n, group, view, out, spare)
+            assert applied is out
+            expected = apply_symmetric_projector(n, group, states)
+            assert np.array_equal(out.view(states.dtype).reshape(shape), expected)
+
+
 @pytest.mark.parametrize("n", range(2, FULL_N_MAX + 1))
 def test_gather_order_is_not_its_own_inverse(n):
     # an apply that gathered back by `order` instead of its inverse would
@@ -371,6 +395,31 @@ def test_index_map_gather_equals_dense_embedding(n):
     assert np.array_equal(gathered, amplitudes @ reduced_basis_matrix(n).T)
 
 
+@pytest.mark.parametrize("n", range(1, FULL_N_MAX + 1))
+def test_segmented_sum_equals_dense_embedding_transpose(n):
+    # E^T x through the index map: the entries of x sorted by column, times
+    # their amplitudes and summed per column.  BLAS sums a column's entries
+    # in another order, so the two agree to within 4 eps of the sum of the
+    # terms' magnitudes (1.7 eps was the largest seen), and exactly at
+    # n = 1, where each column has one entry.
+    column, amplitude = uqd.fullspace._reduced_index_map(n)
+    segments = uqd.fullspace._column_segments(column, reduced_dim(n))
+    dense = reduced_basis_matrix(n)
+    rng = np.random.default_rng(80 + n)
+    shape = (4, full_dim(n))
+    real = rng.normal(size=shape)
+    for rows in (real, real + 1j * rng.normal(size=shape)):
+        view = rows.view(np.float64).reshape(4, full_dim(n), -1)
+        spare = np.full_like(view, np.nan)
+        summed = uqd.fullspace._embedding_transpose(view, amplitude, segments, spare)
+        summed = np.ascontiguousarray(summed).view(rows.dtype)[..., 0]
+        expected = rows @ dense
+        bound = 4 * np.finfo(float).eps * (np.abs(rows) @ dense)
+        assert np.all(np.abs(summed - expected) <= bound)
+        if n == 1:
+            assert np.array_equal(summed, expected)
+
+
 def test_embedding_matches_tensor_route():
     psi1 = BlochQubit(0.9, 0.2)
     psi2 = BlochQubit(1.7, 3.9)
@@ -413,8 +462,9 @@ def test_verification_suite_passes_at_full_n_max():
 
 
 def test_verification_peak_memory_is_bounded():
-    # every full-space array of the pass is sized by _BASIS_DOUBLES, which
-    # keeps the peak near 6 MB; the 100 pairs of n = 5 at once need 14 MB
+    # every full-space array of the pass is a view of four buffers sized by
+    # _BASIS_DOUBLES and allocated once per call, which keeps the peak near
+    # 3 MiB; arrays made per batch, with a dense embedding, peaked at 5.4 MiB
     uqd.fullspace._projector_plan.cache_clear()
     tracemalloc.start()
     try:
@@ -422,7 +472,39 @@ def test_verification_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="getrusage ru_minflt counts minor page faults as Linux reports them",
+)
+def test_repeated_verifications_reuse_their_memory():
+    # the pass's buffers are one allocation, which malloc keeps for the
+    # next call; arrays made and freed per batch were trimmed and faulted
+    # in again, 2.9-4.0 k faults a call.  The child runs without any
+    # MALLOC_* or GLIBC_TUNABLES variable, so no malloc setting helps.
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"
+    }
+    src = pathlib.Path(uqd.fullspace.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = str(src)
+    code = (
+        "import resource\n"
+        "from uqd.fullspace import run_verification\n"
+        "for _ in range(5):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    run_verification(5)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    faults = [int(line) for line in out.split()]
+    assert len(faults) == 5
+    assert all(count < 200 for count in faults[2:]), faults
 
 
 def test_verification_does_not_depend_on_the_batch(monkeypatch):
@@ -512,11 +594,36 @@ def test_oracle_catches_swapped_sector_scales(monkeypatch):
     ]
 
 
+def test_oracle_catches_a_perturbed_index_map_amplitude(monkeypatch):
+    # the Gram diagonal and the segmented sum both read the index map, so
+    # one amplitude off by 1e-6 must fail both checks, and the input
+    # embedding, which lifts reduced states through the same map
+    original = uqd.fullspace._reduced_index_map
+
+    def perturbed(n):
+        column, amplitude = original(n)
+        amplitude = amplitude.copy()
+        amplitude[5] *= 1 + 1e-6
+        return column, amplitude
+
+    monkeypatch.setattr(uqd.fullspace, "_reduced_index_map", perturbed)
+    assert _failed_names(run_verification(2)) == [
+        f"n={n} {check}"
+        for n in (1, 2)
+        for check in (
+            "reduced embedding orthonormal",
+            "input embedding matches",
+            "block structure and eigenvalue pairing",
+        )
+    ]
+
+
 def test_verification_builds_no_dense_operator(monkeypatch):
     def refuse(*args):
-        raise AssertionError("dense full-space projector built")
+        raise AssertionError("dense full-space operator built")
 
     monkeypatch.setattr(uqd.fullspace, "symmetric_projector_full", refuse)
+    monkeypatch.setattr(uqd.fullspace, "reduced_basis_matrix", refuse)
     results = run_verification(3)
     assert len(results) == 33
     assert _failed_names(results) == []
