@@ -25,21 +25,25 @@ summed per column by `np.add.reduceat`.
 
 Every full-space array of the pass is a view of four buffers allocated once
 per call and rewritten in place, each sized for a batch of `_BASIS_DOUBLES`
-doubles (512 KB) at n = 5.  The whole-space checks apply both projectors to
+doubles (256 KB) at n = 5.  The whole-space checks apply both projectors to
 every basis column, a batch of identity columns at a time; the block check
 projects the images of the reduced basis vectors, written into a buffer from
-the index map, a batch at a time; and the sampled qubit pairs are checked a
-batch at a time, 16 of the 100 pairs at n = 5, with their Kronecker products
-built in a buffer too.  The batch sizes do not change any result.  The dense
+the index map, a batch at a time.  Both pack 4 real columns into each entry
+of the trailing axis of the (rows, dim, parts) view the kernel takes, so
+each gather moves a 32-byte run rather than one double.  The sampled qubit
+pairs are checked a batch at a time, 8 of the 100 pairs at n = 5, with
+their Kronecker products built in a buffer too, each step two multiplies
+over the long axis.  The batch sizes do not change any result.  The dense
 references are array passes over the bit table and `math.comb`:
 `symmetric_projector_full` compares keys (outside bits, inside popcount),
 and `reduced_basis_matrix` writes the index map into a dense view; the tests
 compare against both, and the pass calls neither.  The reduced side the pass
 checks is built in one batched call per (n, which, batch), from one table of
 sampled qubits per n.  The oracle is capped at n <= 5 (dimension 2048).  On
-a 2-core VM, `run_verification(5)` runs all 55 checks in 0.15 s and about
-1 k minor page faults on a first call, and in 0.11 s and under a dozen
-faults from its third call on; its `tracemalloc` peak is 2.96 MiB.
+a 2-core VM, `run_verification(5)` runs all 55 checks in 0.09 to 0.15 s,
+as the shared host allows; a first call makes about 0.7 k minor page
+faults, and every call from the third on under a dozen.  Its `tracemalloc`
+peak is 1.96 MiB.
 """
 
 from __future__ import annotations
@@ -149,8 +153,9 @@ def tensor_inputs(
     The rows are the (pairs, 2^(2n+1)) front of `buffer`, a flat complex128
     array of at least 1.5 times that size, allocated if not given; the
     partial products alternate between the front and the space behind it.
-    Each is the same broadcast multiply as into a new array, so the rows
-    are too."""
+    Each step multiplies the long axis by one amplitude per pair into the
+    even entries of the next product and by the other into the odd ones:
+    the products of one broadcast multiply, so the same rows."""
     _check_full(n)
     theta1, phi1, theta2, phi2 = pair_angles(psi1s, psi2s, which)
     amps1 = _qubit_amplitudes(theta1, phi1)
@@ -163,8 +168,9 @@ def tensor_inputs(
         # the last of the 2n+1 products, j = 2n, lands in front
         start = size * (j % 2)
         product = buffer[start : start + 2 * states.size].reshape(len(states), -1, 2)
-        states = np.multiply(states[:, :, None], qubit[:, None, :], out=product)
-        states = states.reshape(len(states), -1)
+        for bit in (0, 1):
+            np.multiply(states, qubit[:, bit, None], out=product[..., bit])
+        states = product.reshape(len(states), -1)
     return states
 
 
@@ -344,15 +350,15 @@ class CheckResult:
 
 
 # doubles per batch of full-space rows: the whole-space checks take
-# max(1, _BASIS_DOUBLES // dim) identity columns at a time, 32 (512 KB) at
-# n = 5 and every column at n <= 3, so the four buffers of a pass (2 MB at
-# n = 5) fit a 4 MB L2 cache, which 256-column (4 MB) batches did not;
-# `_block_check` takes as many rows of E^T, and the pair loop half as many
-# complex rows (16 pairs at n = 5, all 100 at n <= 3).  With all of the
-# pass's full-space arrays in those buffers, a child `uqd verify --n-max 5`
-# takes 0.56 s, 41.3 MB peak RSS and 5.9 k minor page faults on a 2-core VM
-# (0.63 s, 44.7 MB and 21 k with arrays made per batch and a dense E)
-_BASIS_DOUBLES = 2**16
+# max(1, _BASIS_DOUBLES // dim) identity columns at a time, 16 (256 KB) at
+# n = 5 and every column at n <= 3, so the four buffers of a pass take 1 MB
+# at n = 5; `_block_check` takes as many rows of E^T, and the pair loop half
+# as many complex rows (8 pairs at n = 5, all 100 at n <= 3).  Columns
+# packed 4 to an entry made the half-size batches affordable: a child `uqd
+# verify --n-max 5` takes 0.31 s, 40.2 MB peak RSS and 5.7 k minor page
+# faults on a 2-core VM (0.33 s, 41.3 MB and 6.0 k with one column to an
+# entry in 512 KB batches)
+_BASIS_DOUBLES = 2**15
 
 # qubit pairs sampled per n, and the seed of the one generator they come from
 VERIFY_PAIRS = 100
@@ -395,31 +401,33 @@ def _whole_space_checks(
     n: int,
     even_tail: tuple[int, ...],
     odd_tail: tuple[int, ...],
-    buffers: np.ndarray | None = None,
+    buffers: np.ndarray,
 ) -> tuple[float, float, float]:
     """(idempotence deviation of P_even, trace of P_even, trace of P_odd),
     with both projectors applied to every basis column, a batch of columns
-    at a time.  The identity, P_even, P_odd and the spare are views of the
-    four `buffers` (allocated here if not given); the identity's ones are
-    set before a batch's applies and reset after, and both diagonals are
-    read before P_even P_even is written over P_odd.  Each column's arithmetic does not depend on the batch, and
-    neither `max` nor `math.fsum` on the order, so the results do not
-    depend on the batch size."""
+    at a time, 4 to an entry of the trailing axis (2, or 1, when 4 does not
+    divide the batch).  The identity, P_even, P_odd and the spare are views
+    of the four `buffers`, those of `_oracle_buffers`; the identity's ones
+    are set before a batch's applies and reset after, and both diagonals are
+    read before P_even P_even is written over P_odd.  Each column's
+    arithmetic does not depend on its batch or entry, and neither `max` nor
+    `math.fsum` on the order, so the results do not depend on the batch."""
     dim, batch = full_dim(n), _batches(n)[0]
-    buffers = _oracle_buffers(n) if buffers is None else buffers
     buffers[0].fill(0.0)
     diagonals = np.empty((2, dim))
     idem = 0.0
     for start in range(0, dim, batch):
-        rows = np.arange(min(batch, dim - start))
-        index = start + rows
-        views = buffers[:, : rows.size * dim].reshape(4, -1, dim, 1)
+        columns = np.arange(min(batch, dim - start))
+        index = start + columns
+        parts = math.gcd(columns.size, 4)
+        at = (columns // parts, index, columns % parts)
+        views = buffers[:, : columns.size * dim].reshape(4, -1, dim, parts)
         identity, p_even, p_odd, spare = views
-        identity[rows, index] = 1.0
+        identity[at] = 1.0
         _project_into(n, even_tail, identity, p_even, spare)
         _project_into(n, odd_tail, identity, p_odd, spare)
-        identity[rows, index] = 0.0
-        diagonals[:, index] = p_even[rows, index, 0], p_odd[rows, index, 0]
+        identity[at] = 0.0
+        diagonals[:, index] = p_even[at], p_odd[at]
         twice = _project_into(n, even_tail, p_even, p_odd, spare)
         np.abs(np.subtract(twice, p_even, out=twice), out=twice)
         idem = max(idem, float(np.max(twice)))
@@ -624,9 +632,10 @@ def _block_check(
     map (column, amplitude) of `_reduced_index_map`.
 
     A batch of images at a time is written from the map into the first of
-    the four `buffers` and reset after its applies; E^T y is the segmented
-    sum of `_embedding_transpose`, over one sort by column per n.  No dense
-    E is formed."""
+    the four `buffers`, 4 to an entry of the trailing axis (2, or 1, when 4
+    does not divide the batch), and reset after its applies; E^T y is the
+    segmented sum of `_embedding_transpose`, over one sort by column per n.
+    No dense E is formed."""
     triple = build_povm(n, params)
     basis = build_transform(n)
     extracted = extract_blocks(transformed_pi0(triple, basis), basis)
@@ -661,21 +670,24 @@ def _block_check(
     oracle = np.empty((size, size))
     for start in range(0, size, batch):
         stop = min(start + batch, size)
-        views = buffers[:, : (stop - start) * dim].reshape(4, -1, dim, 1)
+        parts = math.gcd(stop - start, 4)
+        views = buffers[:, : (stop - start) * dim].reshape(4, -1, dim, parts)
         images, p_even, p_odd, pi0 = views
         entries = by_column[starts[start] : starts[stop]]
         rows = column[entries] - start
-        images[rows, entries, 0] = amplitude[entries]
+        at = (rows // parts, entries, rows % parts)
+        images[at] = amplitude[entries]
         _project_into(n, even_tail, images, p_even, pi0)
         _project_into(n, odd_tail, images, p_odd, pi0)
         np.multiply(images, 1.0 - params.c1 - params.c2, out=pi0)
-        images[rows, entries, 0] = 0.0
+        images[at] = 0.0
         p_even *= params.c1
         p_odd *= params.c2
         pi0 += p_even
         pi0 += p_odd
         reduced = _embedding_transpose(pi0, amplitude, segments, p_even)
-        oracle[:, start:stop] = reduced[..., 0].T
+        # the image of column start + q is entry q // parts, part q % parts
+        oracle[:, start:stop] = reduced.transpose(1, 0, 2).reshape(size, -1)
     assembled = np.zeros_like(oracle)
     for s, block in enumerate(sectors):
         members = [

@@ -166,6 +166,10 @@ class _Scratch:
         return self._kept[key]
 
 
+# bytes per row of `_mode_walk`'s step buffers: four float64 and one bool
+_WALK_ROW_BYTES = 4 * 8 + 1
+
+
 def _walk_tables(n: int, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The walk's up and down step ratios and its links, at index k + pad."""
     k = np.arange(1, n + 1)
@@ -239,27 +243,35 @@ def _mode_walk(
             w, step_w, spare = step_w, spare, step_w
 
 
+def _angles(name: str, values) -> np.ndarray:
+    """`values` as a 1-D float array, refused unless it is one and finite."""
+    angles = np.atleast_1d(np.asarray(values, dtype=float))
+    if angles.ndim != 1 or not np.isfinite(angles).all():
+        raise ValueError(f"{name} must be finite and 1-D")
+    return angles
+
+
 def dicke_magnitudes_batch(n: int, thetas: np.ndarray) -> np.ndarray:
     """Moduli of n-fold tensor-power Dicke coefficients, one row per angle.
 
     Row entries are sqrt(C(n,k)) |cos(theta/2)|^{n-k} |sin(theta/2)|^k for
     k = 0..n: `_mode_walk` over the whole row, divided by its norm and
     mirrored k -> n-k where sin > cos.  Within 1e-15 of exact arithmetic.
+    Step j of a row goes to column n + j of a (rows, 2n+1) table, and one
+    gather reads k = mode + j from it; the walk's buffers share one arena.
     """
     _check_copies(n)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if not np.isfinite(thetas).all():
-        raise ValueError("theta must be finite")
+    thetas = _angles("theta", thetas)
     c, s = np.abs(np.cos(thetas / 2)), np.abs(np.sin(thetas / 2))
     small = np.minimum(c, s)
     mode = ((n + 1) * small * small).astype(np.intp)
-    rows = np.arange(len(thetas))
-    w = np.zeros((len(thetas), n + 1))
-    w[rows, mode] = 1.0
-    for j, step_w, _, _ in _mode_walk(n, np.maximum(c, s), small, mode, n):
-        k = mode + j
-        inside = (k >= 0) & (k <= n)
-        w[rows[inside], k[inside]] = step_w[inside]
+    steps = np.empty((len(thetas), 2 * n + 1))
+    steps[:, n] = 1.0
+    # every column a row reads, n - mode .. 2n - mode, is a step of its walk
+    scratch = _Scratch(len(thetas) * _WALK_ROW_BYTES + 64 * 5)
+    for j, step_w, _, _ in _mode_walk(n, np.maximum(c, s), small, mode, n, scratch):
+        steps[:, n + j] = step_w
+    w = np.take_along_axis(steps, n - mode[:, None] + np.arange(n + 1), axis=1)
     w /= np.sqrt(np.sum(w * w, axis=1, keepdims=True))
     mirror = s > c
     w[mirror] = w[mirror, ::-1]
@@ -269,10 +281,11 @@ def dicke_magnitudes_batch(n: int, thetas: np.ndarray) -> np.ndarray:
 def dicke_amplitudes_batch(
     n: int, thetas: np.ndarray, phis: np.ndarray
 ) -> np.ndarray:
-    """Complex Dicke coefficients for batches of (theta, phi)."""
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if not np.isfinite(phis).all():
-        raise ValueError("phi must be finite")
+    """Complex Dicke coefficients for batches of (theta, phi), one 1-D array
+    of each and of equal length."""
+    thetas, phis = _angles("theta", thetas), _angles("phi", phis)
+    if thetas.shape != phis.shape:
+        raise ValueError("theta and phi must have equal lengths")
     k = np.arange(n + 1)
     return dicke_magnitudes_batch(n, thetas) * np.exp(1j * k * phis[:, None])
 
@@ -410,8 +423,9 @@ def build_input_states(
     shape (pairs, 2(n+1)^2) in the flat order l*2(n+1) + m*2 + t."""
     _check_copies(n)
     theta1, phi1, theta2, phi2 = pair_angles(psi1s, psi2s, which)
-    odd = dicke_amplitudes_batch(n, theta1, phi1)
-    even = dicke_amplitudes_batch(n, theta2, phi2)
+    # the odd and the even block in one walk
+    blocks = dicke_amplitudes_batch(n, np.append(theta1, theta2), np.append(phi1, phi2))
+    odd, even = blocks.reshape(2, -1, n + 1)
     tail_angles = (theta1, phi1) if which == 1 else (theta2, phi2)
     # one copy's Dicke coefficients are its two amplitudes
     tail = dicke_amplitudes_batch(1, *tail_angles)

@@ -325,19 +325,81 @@ def test_plan_cache_builds_each_production_group_once():
     assert plans.cache_info().misses == 2 * 3
 
 
+def _record_packings(monkeypatch):
+    """(columns, columns per entry) of every input the kernel projects."""
+    packings = []
+    original = uqd.fullspace._project_into
+
+    def recorded(n, inside, real, out, spare):
+        packings.append((real.shape[0] * real.shape[2], real.shape[2]))
+        return original(n, inside, real, out, spare)
+
+    monkeypatch.setattr(uqd.fullspace, "_project_into", recorded)
+    return packings
+
+
+# columns per batch: one per entry for batches of 1 and 7, two for 6 and
+# four for 12 and more; each size but the largest ends in a partial batch
+# at some n, batches of 6 in one of 2 columns and of 12 in one of 8
+_BATCH_ROWS = (1, 6, 7, 12, 32)
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_whole_space_checks_do_not_depend_on_the_batch(n, monkeypatch):
     dim = full_dim(n)
+    packings = _record_packings(monkeypatch)
     seen = set()
-    for rows in (1, 7, 32, dim):
+    for rows in _BATCH_ROWS + (dim,):
         monkeypatch.setattr(uqd.fullspace, "_BASIS_DOUBLES", rows * dim)
-        seen.add(uqd.fullspace._whole_space_checks(n, *_production_groups(n)))
+        buffers = uqd.fullspace._oracle_buffers(n)
+        seen.add(
+            uqd.fullspace._whole_space_checks(n, *_production_groups(n), buffers)
+        )
+    assert {parts for _, parts in packings} == {1, 2, 4}
+    assert {(2, 2), (8, 4)} <= set(packings)
     # bit-identical deviation and diagonal sums
     assert len(seen) == 1
     idem, even_trace, odd_trace = seen.pop()
     assert idem < 1e-10
     assert abs(even_trace - (n + 2) * 2**n) < 1e-9
     assert abs(odd_trace - (n + 2) * 2**n) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_block_check_does_not_depend_on_the_batch(n, monkeypatch):
+    # E^T pi0_full E, read off each batch's segmented sum (the image of
+    # column start + q in entry q // parts, part q % parts), is the same bit
+    # for bit at every batch and packing, as is the check's deviation, and
+    # equals the dense product within rounding
+    params = PovmParams(0.3, 0.4)
+    column, amplitude = uqd.fullspace._reduced_index_map(n)
+    size = reduced_dim(n)
+    packings = _record_packings(monkeypatch)
+    sums = []
+    original = uqd.fullspace._embedding_transpose
+
+    def recorded(*args):
+        summed = original(*args)
+        sums.append(summed.transpose(1, 0, 2).reshape(size, -1))
+        return summed
+
+    monkeypatch.setattr(uqd.fullspace, "_embedding_transpose", recorded)
+    seen, deviations = [], set()
+    for rows in _BATCH_ROWS[:-1] + (size,):
+        monkeypatch.setattr(uqd.fullspace, "_BASIS_DOUBLES", rows * full_dim(n))
+        buffers = uqd.fullspace._oracle_buffers(n)
+        sums.clear()
+        check = uqd.fullspace._block_check(n, params, column, amplitude, buffers)
+        deviations.add(check.deviation)
+        seen.append(np.concatenate(sums, axis=1))
+    assert {parts for _, parts in packings} == {1, 2, 4}
+    assert all(np.array_equal(oracle, seen[0]) for oracle in seen)
+    assert len(deviations) == 1 and deviations.pop() < 1e-9
+    even, odd = (symmetric_projector_full(n, g) for g in _production_groups(n))
+    pi0 = (1 - params.c1 - params.c2) * np.eye(full_dim(n))
+    pi0 += params.c1 * even + params.c2 * odd
+    dense = reduced_basis_matrix(n)
+    np.testing.assert_allclose(seen[0], dense.T @ pi0 @ dense, rtol=0, atol=1e-13)
 
 
 def test_apply_keeps_leading_shape_and_real_dtype():
@@ -462,9 +524,12 @@ def test_verification_suite_passes_at_full_n_max():
 
 
 def test_verification_peak_memory_is_bounded():
-    # every full-space array of the pass is a view of four buffers sized by
-    # _BASIS_DOUBLES and allocated once per call, which keeps the peak near
-    # 3 MiB; arrays made per batch, with a dense embedding, peaked at 5.4 MiB
+    # every full-space array of the pass is a view of four 256 KB buffers
+    # allocated once per call, which keeps the peak near 2 MiB; 512 KB
+    # buffers peaked at 3 MiB, and arrays made per batch, with a dense
+    # embedding, at 5.4 MiB.  A call at n = 1 first makes numpy's lazy
+    # imports, about 0.7 MiB, which a cold process would count too.
+    run_verification(1)
     uqd.fullspace._projector_plan.cache_clear()
     tracemalloc.start()
     try:
@@ -472,7 +537,7 @@ def test_verification_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.skipif(
@@ -510,8 +575,9 @@ def test_repeated_verifications_reuse_their_memory():
 def test_verification_does_not_depend_on_the_batch(monkeypatch):
     n = 4
     expected = [(r.name, r.deviation) for r in run_verification(n)]
-    # one pair, one row and one column per batch, then everything at once
-    for doubles in (full_dim(n), 2**40):
+    # one pair, one row and one column per batch, the budgets of 256 KB and
+    # 512 KB, then everything at once
+    for doubles in (full_dim(n), 2**15, 2**16, 2**40):
         monkeypatch.setattr(uqd.fullspace, "_BASIS_DOUBLES", doubles)
         assert [(r.name, r.deviation) for r in run_verification(n)] == expected
 

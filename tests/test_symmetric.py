@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uqd.symmetric
 from uqd.montecarlo import make_rng, mc_average_success, simulate_outcomes
 from uqd.povm import PovmParams
 from uqd.spectral import constraint_c2
@@ -33,6 +34,8 @@ from uqd.symmetric import (
     dicke_magnitudes_batch,
     reduced_dim,
     tail_split_vectors,
+    _mode_walk,
+    _Scratch,
 )
 
 thetas = st.floats(min_value=0.0, max_value=math.pi)
@@ -229,6 +232,76 @@ def test_dicke_rows_reject_non_finite_angles():
             dicke_amplitudes_batch(70, [bad], [0.0])
         with pytest.raises(ValueError, match="phi must be finite"):
             dicke_amplitudes_batch(5, [0.3, 1.2], [0.1, bad])
+
+
+def test_dicke_rows_reject_misshapen_angles():
+    # a length-1 phi was broadcast over every theta, and a 2-D theta ended
+    # in an IndexError inside the walk
+    with pytest.raises(ValueError, match="equal lengths"):
+        dicke_amplitudes_batch(2, [0.1, 0.2, 0.3], [0.5])
+    with pytest.raises(ValueError, match="equal lengths"):
+        dicke_amplitudes_batch(2, [0.1], [0.5, 0.6])
+    grid = np.full((2, 3), 0.4)
+    with pytest.raises(ValueError, match="theta must be finite and 1-D"):
+        dicke_magnitudes_batch(3, grid)
+    with pytest.raises(ValueError, match="theta must be finite and 1-D"):
+        dicke_amplitudes_batch(3, grid, grid)
+    with pytest.raises(ValueError, match="phi must be finite and 1-D"):
+        dicke_amplitudes_batch(3, [0.4, 0.5], [[0.1, 0.2]])
+    # a scalar angle is one row
+    assert dicke_magnitudes_batch(3, 0.4).shape == (1, 4)
+    assert dicke_amplitudes_batch(3, 0.4, 0.1).shape == (1, 4)
+
+
+def _scatter_magnitudes(n, thetas):
+    """Dicke rows with each step of the walk scattered to k = mode + j in
+    the rows where that k lies in 0..n: the reference for the one gather
+    from the table of steps."""
+    thetas = np.asarray(thetas, dtype=float)
+    c, s = np.abs(np.cos(thetas / 2)), np.abs(np.sin(thetas / 2))
+    small = np.minimum(c, s)
+    mode = ((n + 1) * small * small).astype(np.intp)
+    rows = np.arange(len(thetas))
+    w = np.zeros((len(thetas), n + 1))
+    w[rows, mode] = 1.0
+    for j, step_w, _, _ in _mode_walk(n, np.maximum(c, s), small, mode, n):
+        k = mode + j
+        inside = (k >= 0) & (k <= n)
+        w[rows[inside], k[inside]] = step_w[inside]
+    w /= np.sqrt(np.sum(w * w, axis=1, keepdims=True))
+    mirror = s > c
+    w[mirror] = w[mirror, ::-1]
+    return w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 24, 200])
+def test_dicke_rows_equal_the_scatter_reference(n):
+    # bit for bit, for the poles, the equator, angles outside [0, pi] and
+    # random ones; a row is also the same when walked alone
+    rng = np.random.default_rng(90 + n)
+    angles = np.concatenate(
+        [[0.0, math.pi / 2, math.pi, -0.7, 4.0], rng.uniform(0, math.pi, 9)]
+    )
+    rows = dicke_magnitudes_batch(n, angles)
+    assert np.array_equal(rows, _scatter_magnitudes(n, angles))
+    for row, theta in zip(rows, angles):
+        assert np.array_equal(dicke_magnitudes_batch(n, [theta])[0], row)
+
+
+@pytest.mark.parametrize(("n", "rows"), [(1, 1000), (24, 1000), (5000, 7)])
+def test_dicke_row_walk_buffers_fit_one_arena(n, rows, monkeypatch):
+    made = []
+
+    class RecordedScratch(_Scratch):
+        def __init__(self, capacity=0):
+            super().__init__(capacity)
+            made.append(self)
+
+    monkeypatch.setattr(uqd.symmetric, "_Scratch", RecordedScratch)
+    dicke_magnitudes_batch(n, np.linspace(0.0, math.pi, rows))
+    assert len(made) == 1
+    buffers = [b for b in made[0]._kept.values() if isinstance(b, np.ndarray)]
+    assert buffers and all(np.shares_memory(b, made[0]._arena) for b in buffers)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
