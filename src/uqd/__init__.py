@@ -39,10 +39,12 @@ from .spectral import (
     TransformedBasis,
     build_transform,
     closed_form_extreme_eigenvalues,
+    closed_form_spectrum,
     constraint_c2,
     extract_blocks,
     least_eigenvalues,
     positivity_check,
+    principal_cosines,
     sector_blocks,
     spectrum_report,
     transformed_pi0,

@@ -235,7 +235,7 @@ def mc_average_success(
     pairs whose cross-element leakage exceeds float tolerance; it must stay 0.
     n is capped at WALK_N_MAX.
     """
-    _check_walk_size(n)
+    n = _check_walk_size(n)
     _check_samples(samples)
     eta1 = _check_unit("eta1", eta1)
     scratch = _chunk_scratch(samples, _AVERAGE_ROW_BYTES)
@@ -269,7 +269,7 @@ def mc_average_success(
 
 def _projector_mean_stats(n: int, samples: int, seed: int) -> tuple[float, float]:
     """(mean, standard error) of the symmetric overlap over uniform pairs."""
-    _check_copies(n)
+    n = _check_copies(n)
     _check_samples(samples)
     scratch = _chunk_scratch(samples, _OVERLAP_ROW_BYTES)
     moments = _BlockMoments(samples)

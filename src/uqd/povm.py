@@ -77,7 +77,7 @@ def build_povm(n: int, params: PovmParams) -> PovmTriple:
     pi1 + pi2 + pi0 equals the identity by construction; positivity of pi0
     depends on (c1, c2) and is the subject of the spectral module.
     """
-    _check_copies(n)
+    n = _check_copies(n)
     p_even = build_symmetric_projector(n, Block.EVEN_TAIL).entries
     p_odd = build_symmetric_projector(n, Block.ODD_TAIL).entries
     eye = np.eye(reduced_dim(n))
@@ -210,7 +210,7 @@ def symmetric_overlap_batch(
     (1 + n F)/(n+1) in the symmetric subspace, F = |<a|b>|^2 (Bergou &
     Hillery), so this costs O(1) per pair.
     """
-    _check_copies(n)
+    n = _check_copies(n)
     return _symmetric_overlap(n, *_amplitudes(theta_tail, phi_tail, theta_block, phi_block))
 
 
@@ -325,7 +325,7 @@ def projected_overlap_batch(
     the independent route the leak estimate relies on.  n is capped at
     WALK_N_MAX.
     """
-    _check_walk_size(n)
+    n = _check_walk_size(n)
     ct, st, cb, sb, cos_delta = _amplitudes(theta_tail, phi_tail, theta_block, phi_block)
     return _projected_overlap(n, cb, sb, ct, st, cos_delta)
 
@@ -416,6 +416,6 @@ def batch_success_probabilities(
     explicit projection of `projected_overlap_batch` at O(sqrt(n)) per pair
     and should vanish to float precision.  n is capped at WALK_N_MAX.
     """
-    _check_walk_size(n)
+    n = _check_walk_size(n)
     c1, s1, c2, s2, cos_delta = _amplitudes(theta1, phi1, theta2, phi2)
     return _pair_terms(n, params, np.stack((c1, c2)), np.stack((s1, s2)), cos_delta)

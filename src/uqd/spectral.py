@@ -19,17 +19,25 @@ tridiagonal matrix with
     (l, m, 0) -- (l, m-1, 1):  c1 sqrt(m (n+1-m)) / (n+1);
     (l, m, 1) -- (l+1, m, 0):  c2 sqrt((l+1)(n-l)) / (n+1).
 
-`spectrum_report` builds these one J_l/K_l pair at a time, so a spectrum
-costs O(n^4) time and O(n^2) memory and never forms a dense 2(n+1)^2
-operator; `sector_blocks` returns all of them at once.  The dense route
-(`build_transform`, `transformed_pi0`, `extract_blocks`, `positivity_check`)
-is kept as the small-n cross-check, on real float64 arrays:
-`positivity_check(build_povm(20, ...))` takes about 0.17 s on 2 cores, in
-a process that peaks at 97 MB RSS.
+`sector_blocks` returns these blocks, O(n^3) memory for all of them.  The
+dense route (`build_transform`, `transformed_pi0`, `extract_blocks`,
+`positivity_check`) is kept as the small-n cross-check, on real float64
+arrays: `positivity_check(build_povm(20, ...))` takes about 0.17 s on 2
+cores, in a process that peaks at 97 MB RSS.
 
-Apart from a constant eigenvalue 1 in every block, eigenvalues come in pairs
-summing to 2 - c1 - c2, and the extreme pair is shared by every block of
-size >= 3:
+The whole spectrum has a closed form.  The principal cosines between range
+P_E and range P_O are j/(n+1), j = 1..n, cosine j with multiplicity 2j
+(`principal_cosines`; Jordan's lemma for two subspaces, as in Bergou,
+Feldman & Hillery, PRA 73, 032107 (2006)), and the two ranges meet in the
+2(n+1)-dimensional fully symmetric space.  So pi0 has the eigenvalue 1 with
+multiplicity 2(n+1) and, for each j, the pair
+
+    lambda_j+- = 1 - (c1 + c2)/2
+                 +- sqrt(c1^2/4 + c2^2/4 + c1 c2 ((j/(n+1))^2 - 1/2)),
+
+each with multiplicity 2j (`closed_form_spectrum`).  Block J_l, and K_l,
+holds 1 and the pairs j = n+1-l..n, so the blocks nest and every block of
+size >= 3 shares the extreme pair j = n,
 
     lambda_pm = 1 - (c1 + c2)/2
                 +- sqrt(c1^2/4 + c2^2/4 + (n^2 - 2n - 1) c1 c2 / (2(n+1)^2)).
@@ -37,13 +45,19 @@ size >= 3:
 lambda_minus >= 0 is exactly the condition for (c1, c2) to describe a valid
 measurement, and saturating it yields the constraint curve `constraint_c2`.
 
-`least_eigenvalues` answers only that question, for many scale pairs at
-once, by a certified route that does not rest on the formula.  It takes the
-numeric least eigenvalue of the 3x3 blocks J_1 and K_1, then counts, by an
-LDL^T (Sturm) inertia recurrence along every sector chain, the eigenvalues
-below that value minus FEASIBLE_TOL.  A count other than zero raises
-RuntimeError.  The cost is O(n^2) per pair with no eigen-solve beyond the
-3x3 blocks, against O(n^4) for a full spectrum.
+`spectrum_report` and `least_eigenvalues` do not rest on the formula alone.
+Both count eigenvalues by an LDL^T (Sturm) inertia recurrence along every
+sector chain (`_count_below`), which needs no eigen-solve and no stored
+block.  `spectrum_report` takes
+every block's eigenvalues from the closed form and certifies them: for each
+sector, the count inside a bracket of +-FEASIBLE_TOL around each cluster of
+predicted values must equal the sector's predicted multiplicity, else
+RuntimeError.  That is at most 4n+2 shifts at O(n^2) each, O(n^3) in all,
+against O(n^4) for an eigen-solve of the blocks.  `least_eigenvalues`
+answers only the feasibility question, for many scale pairs at once: it
+takes the numeric least eigenvalue of the 3x3 blocks J_1 and K_1, and a
+count other than zero below that value minus FEASIBLE_TOL raises
+RuntimeError.  That costs O(n^2) per pair.
 """
 
 from __future__ import annotations
@@ -72,8 +86,10 @@ COUPLING_TOL = 1e-9
 FEASIBLE_TOL = 1e-9
 
 # All sector blocks together hold 2(n+1)(2n+1)(2n+3)/3 doubles, 1.4 GB at
-# n = 400, and a spectrum's eigen-solve grows as n^4 (about 2 s at n = 200 on
-# 2 cores).  Larger sizes are refused before anything is allocated.
+# n = 400.  The certificate of `spectrum_report` grows as n^3: at n = 400 it
+# takes 2.1 s in a process that peaks at 59 MB RSS (2 cores; the eigen-solve
+# of every block took 9.7 s and 100 MB).  Larger sizes are refused before
+# anything is allocated.
 SECTOR_N_MAX = 400
 
 
@@ -255,10 +271,11 @@ def extract_blocks(
     return blocks
 
 
-def _check_sector_size(n: int) -> None:
-    _check_copies(n)
+def _check_sector_size(n: int) -> int:
+    n = _check_copies(n)
     if n > SECTOR_N_MAX:
         raise ValueError(f"sector blocks are capped at n <= {SECTOR_N_MAX}, got {n}")
+    return n
 
 
 def _members(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -312,27 +329,73 @@ def sector_blocks(n: int, params: PovmParams) -> tuple[np.ndarray, ...]:
     O(n^3) memory; `spectrum_report` builds one J_l/K_l pair at a time
     and `least_eigenvalues` no block at all.  n is capped at SECTOR_N_MAX.
     """
-    _check_sector_size(n)
+    n = _check_sector_size(n)
     *members, bounds = _members(n)
     c1, c2 = params.c1, params.c2
     diagonal, link = _chain_entries(n, *members, c1, c2, 1.0 - c1 - c2)
     return tuple(_sector_block(diagonal, link, bounds, s) for s in range(2 * n + 2))
 
 
-def closed_form_extreme_eigenvalues(n: int, params: PovmParams) -> tuple[float, float]:
-    """Least and greatest members of the shared extreme eigenvalue pair.
+class PrincipalCosines(NamedTuple):
+    """Principal cosines between range P_E and range P_O as exact rationals:
+    cosine numerators[i] / denominator with multiplicity multiplicities[i]."""
 
-    The product c1 * c2 is formed first so that swapping the scales gives
-    bit-identical results.
+    numerators: np.ndarray
+    denominator: int
+    multiplicities: np.ndarray
+
+
+def principal_cosines(n: int) -> PrincipalCosines:
+    """The cosines j/(n+1), j = 1..n, of the two-dimensional Jordan blocks
+    of P_E and P_O, cosine j with multiplicity 2j.
+
+    Indexed by the total spin J = j - 1/2 of a block pair, the cosine is
+    (J + 1/2)/(n+1) and its multiplicity 2J + 1: the equal-register case
+    of cos^2_J = ((J + 1/2)^2 - ((n1 - n2)/2)^2) / ((n1+1)(n2+1)).  The
+    ranges also meet in the 2(n+1)-dimensional fully symmetric space,
+    J = n + 1/2, where the cosine is 1 and pi0 is the identity.
     """
-    _check_copies(n)
+    n = _check_copies(n)
+    j = np.arange(1, n + 1)
+    return PrincipalCosines(j, n + 1, 2 * j)
+
+
+def _pair_radicand(j, d, c1: float, c2: float):
+    """Radicand of the eigenvalue pair of pi0 on a Jordan block of cosine
+    j/d, c1^2/4 + c2^2/4 + c1 c2 (j^2/d^2 - 1/2), with the integer numerator
+    2j^2 - d^2 kept exact.  The product c1 * c2 is formed first so that
+    swapping the scales gives bit-identical results.  j and d are ints or
+    integer arrays."""
+    return c1**2 / 4 + c2**2 / 4 + (c1 * c2) * (2 * j**2 - d**2) / (2 * d**2)
+
+
+def closed_form_spectrum(n: int, params: PovmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct eigenvalue of the inconclusive operator and its
+    multiplicity, from the principal cosines.
+
+    On the Jordan block of cosine j/(n+1) pi0 has the pair
+    lambda_j+- = 1 - (c1+c2)/2 +- sqrt(c1^2/4 + c2^2/4 + c1 c2 ((j/(n+1))^2 - 1/2)),
+    each with multiplicity 2j; on the fully symmetric space it is 1, with
+    multiplicity 2(n+1).  Returns (eigenvalues, multiplicities), ordered
+    lambda_1- .. lambda_n-, lambda_1+ .. lambda_n+, 1.  O(n) values; the
+    multiplicities sum to 2(n+1)^2.
+    """
+    cosines = principal_cosines(n)
     c1, c2 = params.c1, params.c2
-    radicand = (
-        c1**2 / 4
-        + c2**2 / 4
-        + (c1 * c2) * (n**2 - 2 * n - 1) / (2 * (n + 1) ** 2)
-    )
-    root = math.sqrt(max(radicand, 0.0))
+    radicand = _pair_radicand(cosines.numerators, cosines.denominator, c1, c2)
+    root = np.sqrt(np.maximum(radicand, 0.0))
+    center = 1.0 - (c1 + c2) / 2
+    eigenvalues = np.concatenate((center - root, center + root, [1.0]))
+    mult = cosines.multiplicities
+    return eigenvalues, np.concatenate((mult, mult, [2 * cosines.denominator]))
+
+
+def closed_form_extreme_eigenvalues(n: int, params: PovmParams) -> tuple[float, float]:
+    """Least and greatest members of the shared extreme eigenvalue pair, the
+    j = n pair of `closed_form_spectrum`, at O(1) cost for any n."""
+    n = _check_copies(n)
+    c1, c2 = params.c1, params.c2
+    root = math.sqrt(max(_pair_radicand(n, n + 1, c1, c2), 0.0))
     center = 1.0 - (c1 + c2) / 2
     return center - root, center + root
 
@@ -361,7 +424,7 @@ def constraint_c2(c1: float, n: int) -> float:
     (1 - c1) / (1 - (2n+1) c1 / (n+1)^2), clamped to [0, 1].  The
     denominator is positive because c1 <= 1 and (2n+1) < (n+1)^2.
     """
-    _check_copies(n)
+    n = _check_copies(n)
     c1 = _check_unit("c1", c1)
     denominator = 1.0 - (2 * n + 1) * c1 / (n + 1) ** 2
     return min(1.0, max(0.0, (1.0 - c1) / denominator))
@@ -412,32 +475,66 @@ class SpectrumReport:
 def spectrum_report(n: int, params: PovmParams) -> SpectrumReport:
     """Eigenvalues of every sector block and the positivity verdict.
 
-    J_l (sector l) and K_l (sector 2n+1-l) have the same size and are built
-    and diagonalized together, one pair at a time, so the blocks take
-    O(n^2) memory.  The least eigenvalue is the least over all blocks.
+    The eigenvalues come from `closed_form_spectrum`: J_l and K_l (sectors l
+    and 2n+1-l) both hold 1 and the pairs j = n+1-l..n, which in the sorted
+    spectrum are its l least and l + 1 greatest values.  `_certify_spectrum`
+    then checks them against the sector chains by inertia counts, so the
+    report does not rest on the formula: O(n^3) time and O(n^2) memory,
+    with no block formed and no eigen-solve.  The least eigenvalue is the
+    least over all blocks.
     """
-    _check_sector_size(n)
+    n = _check_sector_size(n)
     c1, c2 = params.c1, params.c2
-    *members, bounds = _members(n)
-    diagonal, link = _chain_entries(n, *members, c1, c2, 1.0 - c1 - c2)
-    j_series, k_series = [], []
-    for l in range(n + 1):
-        pair = [_sector_block(diagonal, link, bounds, s) for s in (l, 2 * n + 1 - l)]
-        j_eigs, k_eigs = np.linalg.eigvalsh(np.stack(pair))
-        j_series.append(BlockSpectrum("J", l, 2 * l + 1, tuple(j_eigs.tolist())))
-        k_series.append(BlockSpectrum("K", l, 2 * l + 1, tuple(k_eigs.tolist())))
-    spectra = tuple(j_series + k_series)
-    numeric_min = min(b.eigenvalues[0] for b in spectra)
+    eigenvalues, _ = closed_form_spectrum(n, params)
+    row = np.sort(eigenvalues)
+    _certify_spectrum(n, c1, c2, row)
+    values = row.tolist()
+    spectra = [tuple(values[:l] + values[2 * n - l :]) for l in range(n + 1)]
+    blocks = tuple(
+        BlockSpectrum(label, l, 2 * l + 1, spectra[l]) for label in "JK" for l in range(n + 1)
+    )
     closed_min, _ = closed_form_extreme_eigenvalues(n, params)
     return SpectrumReport(
         n=n,
         c1=c1,
         c2=c2,
-        blocks=spectra,
-        min_eigenvalue=numeric_min,
+        blocks=blocks,
+        min_eigenvalue=values[0],
         closed_form_min=closed_min,
-        feasible=numeric_min >= -FEASIBLE_TOL,
+        feasible=values[0] >= -FEASIBLE_TOL,
     )
+
+
+def _certify_spectrum(n: int, c1: float, c2: float, row: np.ndarray) -> None:
+    """Check the sorted closed-form spectrum `row` against every sector chain.
+
+    Values closer than 2 FEASIBLE_TOL merge into one cluster, bracketed by
+    [least - FEASIBLE_TOL, greatest + FEASIBLE_TOL); the brackets are
+    disjoint and every shift lies at least FEASIBLE_TOL from every value.
+    At both ends of every bracket, the inertia count of each sector must
+    equal the number of its block's values below that shift, so each
+    bracket holds as many eigenvalues of the sector as the closed form puts
+    in the cluster, and none lies outside the brackets.  At most 4n+2
+    shifts at O(n^2) each.  Raises RuntimeError on the first mismatch.
+    """
+    split = np.diff(row) >= 2 * FEASIBLE_TOL
+    least = row[np.concatenate(([True], split))]
+    greatest = row[np.concatenate((split, [True]))]
+    shifts = np.concatenate((least - FEASIBLE_TOL, greatest + FEASIBLE_TOL))
+    below = _count_below(n, np.array([c1]), np.array([c2]), shifts, per_sector=True)
+    # block l holds the l least and the l + 1 greatest values of the row
+    rank = np.searchsorted(row, shifts).astype(np.int32)
+    sector = np.arange(2 * n + 2, dtype=np.int32)[:, None]
+    block = np.minimum(sector, 2 * n + 1 - sector)
+    predicted = np.minimum(rank, block) + np.maximum(rank - (2 * n - block), 0)
+    wrong = below != predicted
+    if wrong.any():
+        s, k = np.argwhere(wrong)[0]
+        raise RuntimeError(
+            f"spectrum certificate failed at n={n}, (c1, c2) = ({c1!r}, {c2!r}): "
+            f"sector {s} has {below[s, k]} eigenvalues below {shifts[k]!r}, "
+            f"the closed form {predicted[s, k]}"
+        )
 
 
 def _end_block_minimum(n: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -461,40 +558,62 @@ def _end_block_minimum(n: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 _COUNT_DOUBLES = 2**16
 
 
-def _count_below(n: int, c1: np.ndarray, c2: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below `shift` at each scale pair.
+def _count_below(
+    n: int, c1: np.ndarray, c2: np.ndarray, shift: np.ndarray, per_sector: bool = False
+) -> np.ndarray:
+    """Number of eigenvalues below `shift` at each point (int64), or with
+    `per_sector` a (sector, point) int32 array of those numbers for the
+    sectors s = 0..2n+1.
 
-    By Sylvester's law of inertia, the negative pivots of the LDL^T
-    factorization of a tridiagonal T - shift I count the eigenvalues of T
-    below the shift.  The recurrence d_k = (a_k - shift) - b_{k-1}^2 / d_{k-1}
-    runs over every sector at once, one chain position at a time, on
-    (sector, point) arrays: 2n+1 steps.  Sectors s and 2n+1-s have 2s+1
-    members for s <= n, so those with a member at position i are the
-    contiguous range (i+1)//2 .. 2n+1-(i+1)//2.  An exact zero pivot is
-    replaced by the smallest normal float.
+    Point i has the scales (c1[i], c2[i]); scales of length 1 hold for every
+    shift, and the chain entries are then formed once, for every member,
+    rather than at each step.  By Sylvester's law of inertia, the negative pivots
+    of the LDL^T factorization of a tridiagonal T - shift I count the
+    eigenvalues of T below the shift.  The recurrence
+    d_k = (a_k - shift) - b_{k-1}^2 / d_{k-1} runs over every sector at once,
+    one chain position at a time, on (sector, point) arrays: 2n+1 steps.
+    Sectors s and 2n+1-s have 2s+1 members for s <= n, so those with a member
+    at position i are the contiguous range (i+1)//2 .. 2n+1-(i+1)//2.  An
+    exact zero pivot is replaced by the smallest normal float.
     """
     l, m, t, bounds = _members(n)
     sectors = 2 * n + 2
     batch = max(1, _COUNT_DOUBLES // sectors)
-    below = np.zeros(len(shift), dtype=np.int64)
+    below = np.zeros(
+        (sectors, len(shift)) if per_sector else len(shift),
+        dtype=np.int32 if per_sector else np.int64,
+    )
     tiny = np.finfo(float).tiny
+    shared = len(c1) == 1
+    if shared:
+        diagonals, links = _chain_entries(n, l, m, t, c1, c2, 1.0 - c1 - c2)
+        links **= 2
     for start in range(0, len(shift), batch):
         points = slice(start, start + batch)
-        a, b, sigma = c1[points], c2[points], shift[points]
-        base = 1.0 - a - b
-        pivot, squared = np.ones((sectors, 1)), np.zeros((sectors, 1))
+        sigma = shift[points]
+        if not shared:
+            a, b = c1[points], c2[points]
+            base = 1.0 - a - b
+        pivot, squared = np.ones((sectors, len(sigma))), np.zeros((sectors, 1))
         for i in range(2 * n + 1):
             lo = (i + 1) // 2
-            chain = bounds[lo : sectors - lo] + i
-            diagonal, link = _chain_entries(
-                n, l[chain, None], m[chain, None], t[chain, None], a, b, base
-            )
+            chain = bounds[lo : sectors - lo, None] + i
+            if shared:
+                diagonal, link_squared = diagonals[chain], links[chain]
+            else:
+                diagonal, link = _chain_entries(n, l[chain], m[chain], t[chain], a, b, base)
+                link_squared = link**2
             # after an even position the two end sectors of the range run out
             kept = slice(i % 2, len(pivot) - i % 2)
-            pivot = (diagonal - sigma) - squared[kept] / pivot[kept]
+            pivot = squared[kept] / pivot[kept]
+            pivot += sigma
+            np.subtract(diagonal, pivot, out=pivot)
             pivot[pivot == 0.0] = tiny
-            below[points] += np.count_nonzero(pivot < 0.0, axis=0)
-            squared = link**2
+            if per_sector:
+                below[lo : sectors - lo, points] += pivot < 0.0
+            else:
+                below[points] += np.count_nonzero(pivot < 0.0, axis=0)
+            squared = link_squared
     return below
 
 
@@ -512,7 +631,7 @@ def least_eigenvalues(n: int, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     Returns (least, feasible) as arrays; raises RuntimeError if the
     certificate fails.
     """
-    _check_sector_size(n)
+    n = _check_sector_size(n)
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     if c1.ndim != 1 or c1.shape != c2.shape:

@@ -40,7 +40,7 @@ class DiscriminatorConfig:
     eta1: float
 
     def __post_init__(self) -> None:
-        _check_copies(self.n)
+        object.__setattr__(self, "n", _check_copies(self.n))
         object.__setattr__(self, "eta1", _check_unit("eta1", self.eta1))
 
 
@@ -69,7 +69,7 @@ class StrategyDecision:
 def validity_range(n: int) -> tuple[float, float]:
     """Closed prior window where the interior optimum keeps both scale
     factors in [0, 1]: [n^2 / D, (n+1)^2 / D] with D = n^2 + (n+1)^2."""
-    _check_copies(n)
+    n = _check_copies(n)
     denom = n**2 + (n + 1) ** 2
     return n**2 / denom, (n + 1) ** 2 / denom
 
@@ -85,6 +85,7 @@ def optimal_c(n: int, eta1: float) -> tuple[float, float]:
     any n inside the window (the expanded form loses about n ulps).
     Values are clamped to [0, 1] against roundoff at the window edges.
     """
+    n = _check_copies(n)
     low, high = validity_range(n)
     if not low <= eta1 <= high:
         raise ValueError(
@@ -107,7 +108,7 @@ def avg_success_povm(n: int, eta1: float) -> float:
     The bracket is evaluated as 1 + n (2 eta1 - 1)^2 / (1 + 2 sqrt(eta1 (1 -
     eta1))), which cancels nothing at any n.
     """
-    _check_copies(n)
+    n = _check_copies(n)
     eta1 = _check_unit("eta1", eta1)
     excess = 2.0 * eta1 - 1.0
     root = math.sqrt(eta1 * (1.0 - eta1))
@@ -117,7 +118,7 @@ def avg_success_povm(n: int, eta1: float) -> float:
 def avg_success_projective(n: int, eta1: float, which: int) -> float:
     """Average success of the projective strategy aimed at preparation
     `which`: the aimed-at prior times n/(2(n+1))."""
-    _check_copies(n)
+    n = _check_copies(n)
     eta1 = _check_unit("eta1", eta1)
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
@@ -128,6 +129,7 @@ def avg_success_projective(n: int, eta1: float, which: int) -> float:
 def avg_success_expression(n: int, eta1: float, c1: float) -> float:
     """Average success along the positivity boundary as a function of c1
     alone, with c2 = constraint_c2(c1)."""
+    n = _check_copies(n)
     eta1 = _check_unit("eta1", eta1)
     c2 = constraint_c2(c1, n)
     return (eta1 * c1 + (1.0 - eta1) * c2) * n / (2 * (n + 1))

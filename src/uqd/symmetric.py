@@ -22,6 +22,7 @@ keeps its two tail settings adjacent.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -31,11 +32,14 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def _check_int(name: str, value: int, minimum: int) -> None:
-    """Refuse bools, non-integers and integers below `minimum`."""
+def _check_int(name: str, value: int, minimum: int) -> int:
+    """`value` as a Python int, refused if it is a bool, not an integer or
+    below `minimum`.  A numpy integer comes back as a Python int, so closed
+    forms such as n**2 cannot wrap in a fixed-width type."""
     integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not integral or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return operator.index(value)
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -47,8 +51,8 @@ def _check_unit(name: str, value: float) -> float:
     return x
 
 
-def _check_copies(n: int) -> None:
-    _check_int("copy count", n, 1)
+def _check_copies(n: int) -> int:
+    return _check_int("copy count", n, 1)
 
 
 # `_mode_walk` tabulates its step ratios over all of 0..n in four n-length
@@ -58,10 +62,11 @@ def _check_copies(n: int) -> None:
 WALK_N_MAX = 10**7
 
 
-def _check_walk_size(n: int) -> None:
-    _check_copies(n)
+def _check_walk_size(n: int) -> int:
+    n = _check_copies(n)
     if n > WALK_N_MAX:
         raise ValueError(f"the Dicke-weight walk is capped at n <= {WALK_N_MAX}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ class BlochQubit:
 
 def reduced_dim(n: int) -> int:
     """Dimension 2(n+1)^2 of the reduced register basis."""
-    _check_copies(n)
+    n = _check_copies(n)
     return 2 * (n + 1) ** 2
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -17,13 +18,16 @@ from uqd.spectral import (
     SECTOR_N_MAX,
     BlockStructureError,
     ColumnLabel,
+    PrincipalCosines,
     _count_below,
     build_transform,
     closed_form_extreme_eigenvalues,
+    closed_form_spectrum,
     constraint_c2,
     extract_blocks,
     least_eigenvalues,
     positivity_check,
+    principal_cosines,
     sector_blocks,
     spectrum_report,
     transformed_pi0,
@@ -552,3 +556,174 @@ def test_least_eigenvalues_validation():
         least_eigenvalues(SECTOR_N_MAX + 1, [0.5], [0.5])
     with pytest.raises(ValueError):
         least_eigenvalues(0, [0.5], [0.5])
+
+
+edge_scales = st.one_of(st.sampled_from([0.0, 1.0]), scales)
+
+
+def _expanded(n, params):
+    # every eigenvalue of the closed form, repeated by its multiplicity
+    values, mult = closed_form_spectrum(n, params)
+    return np.sort(np.repeat(values, mult))
+
+
+def _sector_spectra(n, params):
+    return [np.linalg.eigvalsh(block) for block in sector_blocks(n, params)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_principal_cosines_in_the_spin_form(n):
+    cosines = principal_cosines(n)
+    assert isinstance(cosines, PrincipalCosines)
+    assert cosines.denominator == n + 1
+    assert cosines.numerators.tolist() == list(range(1, n + 1))
+    assert cosines.multiplicities.tolist() == [2 * j for j in range(1, n + 1)]
+    # J = j - 1/2: cos^2_J = (J + 1/2)^2 / (n+1)^2 with multiplicity 2J + 1
+    for j, mult in zip(cosines.numerators.tolist(), cosines.multiplicities.tolist()):
+        spin = Fraction(2 * j - 1, 2)
+        assert Fraction(j, n + 1) ** 2 == (spin + Fraction(1, 2)) ** 2 / (n + 1) ** 2
+        assert mult == 2 * spin + 1
+    # the 2D Jordan blocks and the 2(n+1)-dimensional meet fill the space
+    assert 2 * int(cosines.multiplicities.sum()) + 2 * (n + 1) == reduced_dim(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=60), edge_scales, edge_scales)
+@example(n=1, c1=0.0, c2=0.0)
+@example(n=60, c1=1.0, c2=1.0)
+@example(n=17, c1=0.3, c2=0.0)
+@example(n=24, c1=1e-12, c2=0.5)
+def test_closed_form_spectrum_matches_sector_eigenvalues(n, c1, c2):
+    params = PovmParams(c1, c2)
+    values, mult = closed_form_spectrum(n, params)
+    assert values.shape == mult.shape == (2 * n + 1,)
+    assert int(mult.sum()) == reduced_dim(n)
+    spectra = _sector_spectra(n, params)
+    np.testing.assert_allclose(
+        _expanded(n, params), np.sort(np.concatenate(spectra)), rtol=0, atol=1e-12
+    )
+    # J_l and K_l hold 1 and the pairs j = n+1-l..n
+    low, high = values[:n], values[n : 2 * n]
+    for s, eigs in enumerate(spectra):
+        pairs = slice(n - min(s, 2 * n + 1 - s), n)
+        block = np.sort(np.concatenate((low[pairs], high[pairs], [1.0])))
+        np.testing.assert_allclose(eigs, block, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=60), scales, scales)
+@example(n=4, c1=0.798828125, c2=0.32035584128430045)
+def test_extreme_pair_is_the_last_pair_of_the_spectrum(n, c1, c2):
+    values, _ = closed_form_spectrum(n, PovmParams(c1, c2))
+    low, high = closed_form_extreme_eigenvalues(n, PovmParams(c1, c2))
+    assert (values[n - 1], values[2 * n - 1]) == (low, high)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("c1, c2", [(0.3, 0.4), (1.0, 1.0), (0.0, 0.7), (0.9, 0.05), (0.6, 0.6)])
+def test_closed_form_spectrum_matches_dense_positivity_check(n, c1, c2):
+    params = PovmParams(c1, c2)
+    triple = build_povm(n, params)
+    dense = np.linalg.eigvalsh(triple.pi0.entries)
+    np.testing.assert_allclose(_expanded(n, params), dense, rtol=0, atol=1e-12)
+    check = positivity_check(triple)
+    report = spectrum_report(n, params)
+    assert abs(report.min_eigenvalue - check.numeric_min) < 1e-12
+    assert report.feasible == check.feasible
+
+
+@pytest.mark.parametrize(
+    "c1, c2, clusters",
+    # lambda_j- = 1 - c and lambda_j+ = 1 for one zero scale; at
+    # (1e-12, 0.5) the pairs lie within 1e-12 of 1/2 and of 1
+    [(0.0, 0.0, 1), (0.3, 0.0, 2), (0.0, 0.3, 2), (1e-12, 0.5, 2), (1.0, 1.0, None)],
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_spectrum_certificate_merges_coinciding_values(n, c1, c2, clusters, monkeypatch):
+    params = PovmParams(c1, c2)
+    shifts = []
+    original = uqd.spectral._count_below
+
+    def spy(*args, **kwargs):
+        shifts.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(uqd.spectral, "_count_below", spy)
+    report = spectrum_report(n, params)
+    # two shifts per cluster, none within FEASIBLE_TOL of an eigenvalue
+    (shift,) = shifts
+    assert len(shift) == 2 * (clusters or 2 * n + 1)
+    spectra = _sector_spectra(n, params)
+    eigs = np.concatenate(spectra)
+    assert np.min(np.abs(eigs[:, None] - shift[None, :])) >= FEASIBLE_TOL - 1e-13
+    for block in report.blocks:
+        s = block.l if block.label == "J" else 2 * n + 1 - block.l
+        assert list(block.eigenvalues) == sorted(block.eigenvalues)
+        np.testing.assert_allclose(block.eigenvalues, spectra[s], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("index", ["least", "first_low", "first_high", "unit"])
+def test_spectrum_certificate_is_not_vacuous(n, index, monkeypatch):
+    params = PovmParams(0.3, 0.4)
+    original = uqd.spectral.closed_form_spectrum
+    position = {"least": n - 1, "first_low": 0, "first_high": n, "unit": 2 * n}[index]
+
+    def moved(delta):
+        def formula(*args):
+            values, mult = original(*args)
+            values[position] += delta
+            return values, mult
+
+        return formula
+
+    expected = spectrum_report(n, params)
+    monkeypatch.setattr(uqd.spectral, "closed_form_spectrum", moved(1e-6))
+    with pytest.raises(RuntimeError, match=f"spectrum certificate failed at n={n}"):
+        spectrum_report(n, params)
+    # a move smaller than FEASIBLE_TOL stays inside the brackets
+    monkeypatch.setattr(uqd.spectral, "closed_form_spectrum", moved(FEASIBLE_TOL / 4))
+    nudged = spectrum_report(n, params)
+    assert [b.size for b in nudged.blocks] == [b.size for b in expected.blocks]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_spectrum_certificate_refuses_wrong_cosines(n, monkeypatch):
+    # cosines j/n in place of j/(n+1)
+    def wrong(m):
+        j = np.arange(1, m + 1)
+        return PrincipalCosines(j, m, 2 * j)
+
+    monkeypatch.setattr(uqd.spectral, "principal_cosines", wrong)
+    with pytest.raises(RuntimeError, match="spectrum certificate failed"):
+        spectrum_report(n, PovmParams(0.3, 0.4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    edge_scales,
+    edge_scales,
+    st.lists(st.floats(min_value=-1.5, max_value=2.5), min_size=1, max_size=9),
+)
+def test_inertia_count_per_sector_with_one_scale_pair(n, c1, c2, shift):
+    shift = np.array(shift)
+    counts = _count_below(n, np.array([c1]), np.array([c2]), shift, per_sector=True)
+    assert counts.shape == (2 * n + 2, len(shift))
+    spectra = _sector_spectra(n, PovmParams(c1, c2))
+    everything = np.concatenate(spectra)
+    for k, sigma in enumerate(shift):
+        if np.min(np.abs(everything - sigma)) < 1e-9:
+            continue  # a shift on an eigenvalue has no rounding-proof count
+        assert counts[:, k].tolist() == [int(np.count_nonzero(e < sigma)) for e in spectra]
+    # the one scale pair broadcast equals it repeated at every point
+    repeated = _count_below(n, np.full(len(shift), c1), np.full(len(shift), c2), shift)
+    np.testing.assert_array_equal(counts.sum(axis=0), repeated)
+
+
+def test_inertia_count_per_sector_is_the_same_in_batches(monkeypatch):
+    n, shift = 6, np.linspace(-0.5, 1.5, 11)
+    c1, c2 = np.array([0.35]), np.array([0.8])
+    whole = _count_below(n, c1, c2, shift, per_sector=True)
+    monkeypatch.setattr(uqd.spectral, "_COUNT_DOUBLES", 3 * (2 * n + 2))
+    np.testing.assert_array_equal(_count_below(n, c1, c2, shift, per_sector=True), whole)

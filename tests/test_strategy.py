@@ -1,13 +1,17 @@
 """Validity window, closed-form optima, and the piecewise regime choice."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uqd.spectral import constraint_c2
+from uqd.povm import PovmParams
+from uqd.spectral import closed_form_extreme_eigenvalues, constraint_c2
+from uqd.symmetric import reduced_dim
 from uqd.strategy import (
     DiscriminatorConfig,
     Regime,
@@ -252,3 +256,34 @@ def test_config_validation():
         DiscriminatorConfig(2, -0.01)
     with pytest.raises(ValueError):
         DiscriminatorConfig(2, float("nan"))
+
+
+@pytest.mark.parametrize("n", [np.int64(3 * 10**9), np.int32(50_000), np.int64(7)])
+def test_numpy_integer_copy_counts_match_python_ints(n):
+    # n**2 wraps in a fixed-width integer (3e9 in int64 for 2 n^2, 5e4 in
+    # int32), so every closed form must compute on the Python int
+    exact = int(n)
+
+    def results(m):
+        return (
+            validity_range(m),
+            optimal_c(m, 0.5),
+            optimal_c(m, validity_range(m)[0]),
+            avg_success_povm(m, 0.3),
+            avg_success_projective(m, 0.3, 2),
+            avg_success_expression(m, 0.3, 0.4),
+            constraint_c2(0.4, m),
+            closed_form_extreme_eigenvalues(m, PovmParams(0.5, 0.5)),
+            closed_form_extreme_eigenvalues(m, PovmParams(1.0, 0.25)),
+            decide(DiscriminatorConfig(m, 0.5)).to_dict(),
+            reduced_dim(m),
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = results(n)
+    assert got == results(exact)
+    assert type(DiscriminatorConfig(n, 0.5).n) is int
+    if exact == 3 * 10**9:
+        low, high = closed_form_extreme_eigenvalues(n, PovmParams(0.5, 0.5))
+        assert abs(low - 1 / (2 * (exact + 1))) < 1e-15 and abs(high - 1.0) < 1e-9
