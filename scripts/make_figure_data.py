@@ -1,7 +1,8 @@
 """Regenerate the success-probability sweep data behind the summary figures.
 
 Writes one CSV per register size into --out-dir, then prints each curve's
-regime window and its flat-prior optimum.
+regime window and its flat-prior optimum.  A size below 1 or fewer than 2
+points is refused with exit 2 before anything is written.
 """
 
 import argparse
@@ -17,6 +18,8 @@ def main(argv=None):
     parser.add_argument("--points", type=int, default=201)
     parser.add_argument("--out-dir", default="out")
     args = parser.parse_args(argv)
+    if args.points < 2 or min(args.sizes) < 1:
+        parser.error("need points >= 2 and every size >= 1")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -47,22 +47,24 @@ measurement, and saturating it yields the constraint curve `constraint_c2`.
 
 `spectrum_report` and `least_eigenvalues` do not rest on the formula alone.
 Both count eigenvalues by an LDL^T (Sturm) inertia recurrence along every
-sector chain (`_count_below`), which needs no eigen-solve and no stored
-block.  `spectrum_report` takes
-every block's eigenvalues from the closed form and certifies them: for each
-sector, the count inside a bracket of +-FEASIBLE_TOL around each cluster of
-predicted values must equal the sector's predicted multiplicity, else
-RuntimeError.  That is at most 4n+2 shifts at O(n^2) each, O(n^3) in all,
-against O(n^4) for an eigen-solve of the blocks.  `least_eigenvalues`
-answers only the feasibility question, for many scale pairs at once: it
-takes the numeric least eigenvalue of the 3x3 blocks J_1 and K_1, and a
-count other than zero below that value minus FEASIBLE_TOL raises
-RuntimeError.  That costs O(n^2) per pair.
+sector chain at one scale pair (`_count_below`), which needs no eigen-solve
+and no stored block.  `spectrum_report` takes every block's eigenvalues
+from the closed form and certifies them: for each sector, the count inside
+a bracket of +-FEASIBLE_TOL around each cluster of predicted values must
+equal the sector's predicted multiplicity, else RuntimeError.  That is at
+most 4n+2 shifts at O(n^2) each, O(n^3) in all, against O(n^4) for an
+eigen-solve of the blocks.  `least_eigenvalues` answers only the
+feasibility question, for many scale pairs at once: it takes the numeric
+least eigenvalue of the 3x3 blocks J_1 and K_1 and certifies it once per
+call.  One O(n^2) pass checks that the chain entries at the scales (1, 0)
+and (0, 1) are projectors E and O, one inertia count at (1, 1), where
+pi0 = E + O - I, bounds every Jordan cosine by n/(n+1), and each pair's
+minimum must match lambda_minus.  That costs O(n^2) per call and O(1) per
+pair.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,8 +90,10 @@ FEASIBLE_TOL = 1e-9
 # All sector blocks together hold 2(n+1)(2n+1)(2n+3)/3 doubles, 1.4 GB at
 # n = 400.  The certificate of `spectrum_report` grows as n^3: at n = 400 it
 # takes 2.1 s in a process that peaks at 59 MB RSS (2 cores; the eigen-solve
-# of every block took 9.7 s and 100 MB).  Larger sizes are refused before
-# anything is allocated.
+# of every block took 9.7 s and 100 MB).  That of `least_eigenvalues` grows
+# as n^2 per call: a one-pair call takes about 49 ms at n = 400 and 4.6 ms at
+# n = 100 (2 cores, first call in a fresh process).  Larger sizes are
+# refused before anything is allocated.
 SECTOR_N_MAX = 400
 
 
@@ -281,21 +285,27 @@ def _check_sector_size(n: int) -> int:
 def _members(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Members (l, m, t) of every sector s = 0..2n+1, sector after sector and
     ordered by q = 2l + t within each, and the bounds of the sectors in that
-    order (sector s is members bounds[s]:bounds[s+1])."""
-    l, m, t = (axis.ravel() for axis in np.indices((n + 1, n + 1, 2)))
-    sector = l + m + t
-    order = np.lexsort((2 * l + t, sector))
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(sector))))
-    return l[order], m[order], t[order], bounds
+    order (sector s is members bounds[s]:bounds[s+1]).
+
+    Sector s holds 2 min(s, 2n+1-s) + 1 members whose q run without gaps
+    from max(0, 2(s-n) - 1), so the order is laid out directly, not sorted.
+    """
+    sectors = np.arange(2 * n + 2)
+    sizes = 2 * np.minimum(sectors, 2 * n + 1 - sectors) + 1
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    q = np.arange(bounds[-1]) + np.repeat(np.maximum(0, 2 * (sectors - n) - 1) - bounds[:-1], sizes)
+    l, t = q >> 1, q & 1
+    return l, np.repeat(sectors, sizes) - l - t, t, bounds
 
 
 def _chain_entries(n: int, l, m, t, c1, c2, base):
     """Diagonal entry at member (l, m, t) and its link to the next member of
-    the sector, from the closed forms in the module docstring.  base is
-    1 - c1 - c2, which callers that step along a chain form once.  Members
-    and scales broadcast against each other.  The last member of a sector
-    links to nothing and gets exactly 0, so the members in `_members` order
-    form one chain that falls apart into the sector blocks.
+    the sector, from the closed forms in the module docstring.  base is the
+    multiple of I, 1 - c1 - c2 in pi0; with base 0 the scales (1, 0) and
+    (0, 1) give P_even and P_odd alone.  Members and scales broadcast
+    against each other.  The last member of a sector links to nothing and
+    gets exactly 0, so the members in `_members` order form one chain that
+    falls apart into the sector blocks.
     """
     a_even = np.where(t == 0, n + 1 - m, m + 1)
     a_odd = np.where(t == 0, n + 1 - l, l + 1)
@@ -326,8 +336,8 @@ def sector_blocks(n: int, params: PovmParams) -> tuple[np.ndarray, ...]:
 
     Entries follow the closed forms in the module docstring; no dense
     reduced-basis operator is formed.  All 2n+2 blocks are held at once,
-    O(n^3) memory; `spectrum_report` builds one J_l/K_l pair at a time
-    and `least_eigenvalues` no block at all.  n is capped at SECTOR_N_MAX.
+    O(n^3) memory; `spectrum_report` and `least_eigenvalues` build none.
+    n is capped at SECTOR_N_MAX.
     """
     n = _check_sector_size(n)
     *members, bounds = _members(n)
@@ -360,13 +370,22 @@ def principal_cosines(n: int) -> PrincipalCosines:
     return PrincipalCosines(j, n + 1, 2 * j)
 
 
-def _pair_radicand(j, d, c1: float, c2: float):
+def _pair_radicand(j, d, c1, c2):
     """Radicand of the eigenvalue pair of pi0 on a Jordan block of cosine
     j/d, c1^2/4 + c2^2/4 + c1 c2 (j^2/d^2 - 1/2), with the integer numerator
     2j^2 - d^2 kept exact.  The product c1 * c2 is formed first so that
     swapping the scales gives bit-identical results.  j and d are ints or
-    integer arrays."""
+    integer arrays, and c1 and c2 floats or float arrays."""
     return c1**2 / 4 + c2**2 / 4 + (c1 * c2) * (2 * j**2 - d**2) / (2 * d**2)
+
+
+def _pair_eigenvalues(j, d, c1, c2):
+    """The eigenvalue pair (lambda_j-, lambda_j+) of pi0 on a Jordan block of
+    cosine j/d, 1 - (c1 + c2)/2 -+ sqrt(`_pair_radicand`).  The cosine or the
+    scales may be arrays."""
+    root = np.sqrt(np.maximum(_pair_radicand(j, d, c1, c2), 0.0))
+    center = 1.0 - (c1 + c2) / 2
+    return center - root, center + root
 
 
 def closed_form_spectrum(n: int, params: PovmParams) -> tuple[np.ndarray, np.ndarray]:
@@ -381,11 +400,8 @@ def closed_form_spectrum(n: int, params: PovmParams) -> tuple[np.ndarray, np.nda
     multiplicities sum to 2(n+1)^2.
     """
     cosines = principal_cosines(n)
-    c1, c2 = params.c1, params.c2
-    radicand = _pair_radicand(cosines.numerators, cosines.denominator, c1, c2)
-    root = np.sqrt(np.maximum(radicand, 0.0))
-    center = 1.0 - (c1 + c2) / 2
-    eigenvalues = np.concatenate((center - root, center + root, [1.0]))
+    low, high = _pair_eigenvalues(cosines.numerators, cosines.denominator, params.c1, params.c2)
+    eigenvalues = np.concatenate((low, high, [1.0]))
     mult = cosines.multiplicities
     return eigenvalues, np.concatenate((mult, mult, [2 * cosines.denominator]))
 
@@ -394,10 +410,8 @@ def closed_form_extreme_eigenvalues(n: int, params: PovmParams) -> tuple[float, 
     """Least and greatest members of the shared extreme eigenvalue pair, the
     j = n pair of `closed_form_spectrum`, at O(1) cost for any n."""
     n = _check_copies(n)
-    c1, c2 = params.c1, params.c2
-    root = math.sqrt(max(_pair_radicand(n, n + 1, c1, c2), 0.0))
-    center = 1.0 - (c1 + c2) / 2
-    return center - root, center + root
+    low, high = _pair_eigenvalues(n, n + 1, params.c1, params.c2)
+    return float(low), float(high)
 
 
 class PositivityResult(NamedTuple):
@@ -521,7 +535,7 @@ def _certify_spectrum(n: int, c1: float, c2: float, row: np.ndarray) -> None:
     least = row[np.concatenate(([True], split))]
     greatest = row[np.concatenate((split, [True]))]
     shifts = np.concatenate((least - FEASIBLE_TOL, greatest + FEASIBLE_TOL))
-    below = _count_below(n, np.array([c1]), np.array([c2]), shifts, per_sector=True)
+    below = _count_below(n, c1, c2, shifts)
     # block l holds the l least and the l + 1 greatest values of the row
     rank = np.searchsorted(row, shifts).astype(np.int32)
     sector = np.arange(2 * n + 2, dtype=np.int32)[:, None]
@@ -552,84 +566,119 @@ def _end_block_minimum(n: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[..., 0].min(axis=0)
 
 
-# doubles per (sector, point) working array of the inertia count: the points
-# are taken in batches of _COUNT_DOUBLES // (2n+2), so memory stays O(points)
+# doubles per (sector, shift) working array of the inertia count: the shifts
+# are taken in batches of _COUNT_DOUBLES // (2n+2), so memory stays O(shifts)
 # and the dozen such arrays of one step stay in a few-MB cache
 _COUNT_DOUBLES = 2**16
 
 
-def _count_below(
-    n: int, c1: np.ndarray, c2: np.ndarray, shift: np.ndarray, per_sector: bool = False
-) -> np.ndarray:
-    """Number of eigenvalues below `shift` at each point (int64), or with
-    `per_sector` a (sector, point) int32 array of those numbers for the
-    sectors s = 0..2n+1.
+def _count_below(n: int, c1: float, c2: float, shift: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each shift in every sector s = 0..2n+1 at
+    the scales (c1, c2), as a (sector, shift) int32 array.
 
-    Point i has the scales (c1[i], c2[i]); scales of length 1 hold for every
-    shift, and the chain entries are then formed once, for every member,
-    rather than at each step.  By Sylvester's law of inertia, the negative pivots
-    of the LDL^T factorization of a tridiagonal T - shift I count the
-    eigenvalues of T below the shift.  The recurrence
-    d_k = (a_k - shift) - b_{k-1}^2 / d_{k-1} runs over every sector at once,
-    one chain position at a time, on (sector, point) arrays: 2n+1 steps.
-    Sectors s and 2n+1-s have 2s+1 members for s <= n, so those with a member
-    at position i are the contiguous range (i+1)//2 .. 2n+1-(i+1)//2.  An
-    exact zero pivot is replaced by the smallest normal float.
+    By Sylvester's law of inertia, the negative pivots of the LDL^T
+    factorization of a tridiagonal T - shift I count the eigenvalues of T
+    below the shift.  The chain entries are formed once, for every member;
+    the recurrence d_k = (a_k - shift) - b_{k-1}^2 / d_{k-1} then runs over
+    every sector at once, one chain position at a time, on (sector, shift)
+    arrays: 2n+1 steps.  Sectors s and 2n+1-s have 2s+1 members for s <= n,
+    so those with a member at position i are the contiguous range
+    (i+1)//2 .. 2n+1-(i+1)//2.  An exact zero pivot is replaced by the
+    smallest normal float.
     """
     l, m, t, bounds = _members(n)
     sectors = 2 * n + 2
     batch = max(1, _COUNT_DOUBLES // sectors)
-    below = np.zeros(
-        (sectors, len(shift)) if per_sector else len(shift),
-        dtype=np.int32 if per_sector else np.int64,
-    )
+    below = np.zeros((sectors, len(shift)), dtype=np.int32)
     tiny = np.finfo(float).tiny
-    shared = len(c1) == 1
-    if shared:
-        diagonals, links = _chain_entries(n, l, m, t, c1, c2, 1.0 - c1 - c2)
-        links **= 2
+    diagonals, links = _chain_entries(n, l, m, t, c1, c2, 1.0 - c1 - c2)
+    links **= 2
     for start in range(0, len(shift), batch):
         points = slice(start, start + batch)
         sigma = shift[points]
-        if not shared:
-            a, b = c1[points], c2[points]
-            base = 1.0 - a - b
         pivot, squared = np.ones((sectors, len(sigma))), np.zeros((sectors, 1))
         for i in range(2 * n + 1):
             lo = (i + 1) // 2
             chain = bounds[lo : sectors - lo, None] + i
-            if shared:
-                diagonal, link_squared = diagonals[chain], links[chain]
-            else:
-                diagonal, link = _chain_entries(n, l[chain], m[chain], t[chain], a, b, base)
-                link_squared = link**2
             # after an even position the two end sectors of the range run out
             kept = slice(i % 2, len(pivot) - i % 2)
             pivot = squared[kept] / pivot[kept]
             pivot += sigma
-            np.subtract(diagonal, pivot, out=pivot)
+            np.subtract(diagonals[chain], pivot, out=pivot)
             pivot[pivot == 0.0] = tiny
-            if per_sector:
-                below[lo : sectors - lo, points] += pivot < 0.0
-            else:
-                below[points] += np.count_nonzero(pivot < 0.0, axis=0)
-            squared = link_squared
+            below[lo : sectors - lo, points] += pivot < 0.0
+            squared = links[chain]
     return below
+
+
+def _projector_defect(n: int) -> float:
+    """Largest departure of E and O from orthogonal projectors, where E and
+    O are the chain entries at the scales (1, 0) and (0, 1) with base 0.
+
+    In `_members` order the successor of (l, m, 0) is (l, m-1, 1) and that
+    of (l, m, 1) is (l+1, m, 0).  E links only pairs of the first kind and O
+    only pairs of the second, so each is a direct sum of 2x2 blocks
+    [[a, b], [b, d]] and 1x1 blocks, and it is a projector when every 2x2
+    block has a + d = 1 and ad = b^2, every 1x1 block is 0 or 1, and every
+    other link is 0.  The members broadcast from one axis each, so no member
+    list is formed or sorted.  NaN entries give NaN.
+    """
+    # t outermost: a short innermost axis would make every broadcast slow
+    t, l, m = np.arange(2)[:, None, None], np.arange(n + 1)[:, None], np.arange(n + 1)
+    defects = []
+    for c1, c2, first, second in (
+        (1.0, 0.0, np.s_[0, :, 1:], np.s_[1, :, :-1]),
+        (0.0, 1.0, np.s_[1, :-1, :], np.s_[0, 1:, :]),
+    ):
+        diagonal, link = _chain_entries(n, l, m, t, c1, c2, 0.0)
+        a, d, b = diagonal[first], diagonal[second], link[first]
+        alone, unlinked = np.ones((2, *diagonal.shape), dtype=bool)
+        alone[first] = alone[second] = unlinked[first] = False
+        single = diagonal[alone]
+        defects += [a + d - 1, a * d - b**2, np.minimum(single, 1 - single), link[unlinked]]
+    return float(np.max([np.max(np.abs(defect)) for defect in defects]))
 
 
 def least_eigenvalues(n: int, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     """Least eigenvalue of the inconclusive operator and the feasibility
     verdict at many scale pairs (c1[i], c2[i]) at once.
 
-    The minimum is read numerically from the 3x3 blocks J_1 and K_1 and then
-    certified: an inertia count over every sector chain must find no
-    eigenvalue below it minus FEASIBLE_TOL, so the result does not rest on
-    the closed-form claim that J_1 and K_1 hold the extreme pair.  No
-    spectrum, dense operator or stored block is formed: the cost is
-    O(n^2) per pair in 2n+1 array steps, and the working memory a few
-    (sector, pair) arrays, taken a batch of pairs at a time.
-    Returns (least, feasible) as arrays; raises RuntimeError if the
-    certificate fails.
+    The minimum is read numerically from the 3x3 blocks J_1 and K_1 and
+    certified once per call, so that at no pair does an eigenvalue lie more
+    than FEASIBLE_TOL below it.  With delta = FEASIBLE_TOL/256:
+
+    1. E and O are projectors.  Every sector chain is
+       (1 - c1 - c2) I + c1 E + c2 O by construction of `_chain_entries`,
+       with E and O its entries at the scales (1, 0) and (0, 1).
+       `_projector_defect` must be at most delta.  A 2x2 block with
+       |a + d - 1| <= delta and |ad - b^2| <= delta has its eigenvalues
+       within 2.01 delta of 0 and 1, and the other links add at most
+       2 delta in norm, so E and O lie within 5 delta of projectors E' and
+       O', and the chain at any (c1, c2) within 5 delta (c1 + c2) <= 10 delta
+       of (1 - c1 - c2) I + c1 E' + c2 O'.
+    2. No Jordan cosine above n/(n+1).  By Jordan's lemma E' and O' split
+       the space into 2-dimensional blocks, on which they are rank-one
+       projectors at cosine gamma, and 1-dimensional pieces, on which each
+       is 0 or 1.  At (1, 1) pi0 = E' + O' - I has the eigenvalues +-gamma
+       on a block and -1 on a piece where E' = O' = 0.  One inertia count
+       of the chain at (1, 1) must find no eigenvalue below
+       -n/(n+1) - FEASIBLE_TOL/8.  So every gamma is at most
+       n/(n+1) + FEASIBLE_TOL/8 + 10 delta, and no piece has E' = O' = 0.
+    3. The numeric minimum matches the closed form.  On a block of cosine
+       gamma pi0 has the least eigenvalue
+       lambda_-(gamma) = 1 - (c1+c2)/2 - sqrt((c1-c2)^2/4 + c1 c2 gamma^2),
+       which falls as gamma grows, with slope at most sqrt(c1 c2) <= 1.  The
+       other pieces give 1, 1 - c1 or 1 - c2, none below
+       lambda_-(0) = 1 - max(c1, c2).  With steps 1 and 2, no eigenvalue of
+       the chain lies below lambda_n- - FEASIBLE_TOL/8 - 20 delta, where
+       lambda_n- = lambda_-(n/(n+1)) (`_pair_eigenvalues`).  The J_1/K_1
+       minimum must lie within 3 FEASIBLE_TOL/4 of lambda_n- at every pair,
+       so no eigenvalue lies more than (3/4 + 1/8 + 20/256) FEASIBLE_TOL
+       below it; the rest of FEASIBLE_TOL covers rounding.
+
+    Steps 1 and 2 cost O(n^2) once per call and step 3 O(1) per pair; no
+    spectrum, dense operator or stored block is formed.  Returns (least,
+    feasible) as arrays; raises RuntimeError if a check fails or reads NaN.
     """
     n = _check_sector_size(n)
     c1 = np.asarray(c1, dtype=float)
@@ -642,13 +691,25 @@ def least_eigenvalues(n: int, c1, c2) -> tuple[np.ndarray, np.ndarray]:
         outside = ~((scales >= 0.0) & (scales <= 1.0))
         if outside.any():
             raise ValueError(f"{name} must lie in [0, 1], got {float(scales[outside][0])!r}")
-    least = _end_block_minimum(n, c1, c2)
-    below = _count_below(n, c1, c2, least - FEASIBLE_TOL)
-    if below.any():
-        i = int(np.flatnonzero(below)[0])
+    failed = f"least-eigenvalue certificate failed at n={n}"
+    defect = _projector_defect(n)
+    if not defect <= FEASIBLE_TOL / 256:
+        raise RuntimeError(f"{failed}: E and O depart from projectors by {defect!r}")
+    edge = -n / (n + 1) - FEASIBLE_TOL / 8
+    beyond = int(_count_below(n, 1.0, 1.0, np.array([edge])).sum())
+    if beyond:
         raise RuntimeError(
-            f"least-eigenvalue certificate failed at n={n}, (c1, c2) = "
-            f"({float(c1[i])!r}, {float(c2[i])!r}): {below[i]} eigenvalues lie more than "
-            f"{FEASIBLE_TOL:g} below the J_1/K_1 minimum {float(least[i])!r}"
+            f"{failed}: pi0 at (1, 1) has {beyond} eigenvalues below {edge!r}, "
+            f"so a Jordan cosine exceeds {n}/{n + 1}"
+        )
+    least = _end_block_minimum(n, c1, c2)
+    closed, _ = _pair_eigenvalues(n, n + 1, c1, c2)
+    far = ~(np.abs(least - closed) <= 3 * FEASIBLE_TOL / 4)
+    if far.any():
+        i = int(np.flatnonzero(far)[0])
+        raise RuntimeError(
+            f"{failed}, (c1, c2) = ({float(c1[i])!r}, {float(c2[i])!r}): the J_1/K_1 "
+            f"minimum {float(least[i])!r} lies more than {3 * FEASIBLE_TOL / 4:g} from "
+            f"the closed form {float(closed[i])!r}"
         )
     return least, least >= -FEASIBLE_TOL

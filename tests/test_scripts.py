@@ -129,6 +129,20 @@ def test_make_figure_data(tmp_path, capsys):
         assert float(row["p_opt"]) == max(candidates)
 
 
+def test_make_figure_data_usage_errors(tmp_path, capsys):
+    # refused by the script's own parser before any sweep is written
+    for argv in (["--sizes", "2", "0", "--points", "11"], ["--points", "1"], ["--sizes", "-1"]):
+        out_dir = tmp_path / "figures"
+        with pytest.raises(SystemExit) as exc:
+            make_figure_data.main([*argv, "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert not out_dir.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need points >= 2 and every size >= 1" in captured.err
+        assert "sweep" not in captured.err
+
+
 def test_make_figure_data_stops_on_failed_sweep(tmp_path, capsys):
     (tmp_path / "sweep_n2.csv").mkdir()  # the sweep cannot write its CSV
     argv = ["--sizes", "2", "6", "--points", "11", "--out-dir", str(tmp_path)]

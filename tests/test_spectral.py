@@ -414,6 +414,19 @@ def test_spectrum_report_holds_one_block_pair_at_a_time():
     assert peak < all_blocks / 4
 
 
+edge_scales = st.one_of(st.sampled_from([0.0, 1.0]), scales)
+
+
+def _expanded(n, params):
+    # every eigenvalue of the closed form, repeated by its multiplicity
+    values, mult = closed_form_spectrum(n, params)
+    return np.sort(np.repeat(values, mult))
+
+
+def _sector_spectra(n, params):
+    return [np.linalg.eigvalsh(block) for block in sector_blocks(n, params)]
+
+
 scale_grids = st.lists(
     st.one_of(st.sampled_from([0.0, 1.0]), scales), min_size=1, max_size=4
 )
@@ -439,24 +452,23 @@ def test_least_eigenvalues_match_spectrum_report(n, c1s, c2s):
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=12),
-    st.lists(
-        st.tuples(scales, scales, st.floats(min_value=-1.5, max_value=2.5)),
-        min_size=1,
-        max_size=5,
-    ),
+    edge_scales,
+    edge_scales,
+    st.lists(st.floats(min_value=-1.5, max_value=2.5), min_size=1, max_size=9),
 )
-@example(n=3, points=[(0.0, 0.0, 0.5), (0.0, 0.0, 1.5), (1.0, 1.0, -0.9), (0.4, 0.0, 0.7)])
-def test_inertia_count_matches_eigvalsh(n, points):
-    c1, c2, shift = (np.array(axis) for axis in zip(*points))
+@example(n=3, c1=0.0, c2=0.0, shift=[0.5, 1.5])
+@example(n=3, c1=1.0, c2=1.0, shift=[-0.9])
+@example(n=3, c1=0.4, c2=0.0, shift=[0.7])
+def test_inertia_count_matches_eigvalsh(n, c1, c2, shift):
+    shift = np.array(shift)
     counts = _count_below(n, c1, c2, shift)
-    assert counts.dtype == np.int64
-    for i, (a, b, sigma) in enumerate(points):
-        eigs = np.concatenate(
-            [np.linalg.eigvalsh(block) for block in sector_blocks(n, PovmParams(a, b))]
-        )
-        if np.min(np.abs(eigs - sigma)) < 1e-9:
+    assert counts.shape == (2 * n + 2, len(shift)) and counts.dtype == np.int32
+    spectra = _sector_spectra(n, PovmParams(c1, c2))
+    everything = np.concatenate(spectra)
+    for k, sigma in enumerate(shift):
+        if np.min(np.abs(everything - sigma)) < 1e-9:
             continue  # a shift on an eigenvalue has no rounding-proof count
-        assert counts[i] == np.count_nonzero(eigs < sigma)
+        assert counts[:, k].tolist() == [int(np.count_nonzero(e < sigma)) for e in spectra]
 
 
 def test_inertia_count_survives_a_zero_pivot():
@@ -469,20 +481,19 @@ def test_inertia_count_survives_a_zero_pivot():
     assert np.min(np.abs(eigs - shift)) > 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        count = _count_below(n, np.array([0.3]), np.array([0.6]), np.array([shift]))
-    assert count[0] == np.count_nonzero(eigs < shift)
+        count = _count_below(n, 0.3, 0.6, np.array([shift]))
+    assert count.sum() == np.count_nonzero(eigs < shift)
 
 
 def test_inertia_count_sees_every_member_of_the_extreme_pair():
     # lambda_n- has multiplicity 2n, spread over every block of size >= 3
-    n, c1, c2 = 6, np.array([0.7]), np.array([0.45])
-    low, high = closed_form_extreme_eigenvalues(n, PovmParams(0.7, 0.45))
-    assert _count_below(n, c1, c2, np.array([low + 1e-6]))[0] == 2 * n
-    assert _count_below(n, c1, c2, np.array([low - 1e-6]))[0] == 0
+    n, c1, c2 = 6, 0.7, 0.45
+    low, high = closed_form_extreme_eigenvalues(n, PovmParams(c1, c2))
+    shift = np.array([low - 1e-6, low + 1e-6, high - 1e-6])
     # every eigenvalue lies below the top of the pair except the unit ones
     # and the 2n copies of lambda_n+
-    below_high = _count_below(n, c1, c2, np.array([high - 1e-6]))[0]
-    assert below_high == 2 * (n + 1) ** 2 - 2 * (n + 1) - 2 * n
+    below = _count_below(n, c1, c2, shift).sum(axis=0)
+    assert below.tolist() == [0, 2 * n, 2 * (n + 1) ** 2 - 2 * (n + 1) - 2 * n]
 
 
 @pytest.mark.parametrize("n", [1, 7, 40])
@@ -501,15 +512,12 @@ def test_inertia_count_steps_all_sectors_at_once(n, monkeypatch):
     assert len(calls) <= 2 * n + 2 + set_up
 
 
-def test_inertia_count_is_the_same_in_batches_of_points(monkeypatch):
-    n = 5
-    rng = np.random.default_rng(11)
-    c1, c2 = rng.uniform(size=(2, 7))
-    shift = rng.uniform(-0.5, 1.5, size=7)
-    whole = _count_below(n, c1, c2, shift)
-    # two points per batch, so the last batch is short
-    monkeypatch.setattr(uqd.spectral, "_COUNT_DOUBLES", 2 * (2 * n + 2))
-    np.testing.assert_array_equal(_count_below(n, c1, c2, shift), whole)
+def test_inertia_count_is_the_same_in_batches_of_shifts(monkeypatch):
+    n, shift = 6, np.linspace(-0.5, 1.5, 11)
+    whole = _count_below(n, 0.35, 0.8, shift)
+    # three shifts per batch, so the last batch is short
+    monkeypatch.setattr(uqd.spectral, "_COUNT_DOUBLES", 3 * (2 * n + 2))
+    np.testing.assert_array_equal(_count_below(n, 0.35, 0.8, shift), whole)
 
 
 def test_least_eigenvalue_certificate_is_not_vacuous(monkeypatch):
@@ -558,17 +566,98 @@ def test_least_eigenvalues_validation():
         least_eigenvalues(0, [0.5], [0.5])
 
 
-edge_scales = st.one_of(st.sampled_from([0.0, 1.0]), scales)
+@pytest.mark.parametrize(
+    "members, change",
+    [
+        # the E link from (1, 2, 0) to (1, 1, 1), 0.1% too strong
+        ([(1, 2, 0)], lambda diagonal, link, c1: (diagonal, 1.001 * link)),
+        # that whole E block 0.1% too strong, O left as it is: the trace is off,
+        # the determinant not
+        (
+            [(1, 2, 0), (1, 1, 1)],
+            lambda diagonal, link, c1: ((1 + 1e-3 * c1) * diagonal, (1 + 1e-3 * c1) * link),
+        ),
+        # an E link from (1, 1, 1), where only O links
+        ([(1, 1, 1)], lambda diagonal, link, c1: (diagonal, link + 1e-6 * c1)),
+    ],
+)
+def test_least_eigenvalue_certificate_sees_a_broken_projector(members, change, monkeypatch):
+    original = uqd.spectral._chain_entries
+
+    def broken(n, l, m, t, c1, c2, base):
+        diagonal, link = original(n, l, m, t, c1, c2, base)
+        at = np.any([(l == a) & (m == b) & (t == c) for a, b, c in members], axis=0)
+        changed_diagonal, changed_link = change(diagonal, link, c1)
+        return np.where(at, changed_diagonal, diagonal), np.where(at, changed_link, link)
+
+    monkeypatch.setattr(uqd.spectral, "_chain_entries", broken)
+    with pytest.raises(RuntimeError, match="failed at n=4: E and O depart from projectors"):
+        least_eigenvalues(4, [0.3, 0.9], [0.4, 0.2])
 
 
-def _expanded(n, params):
-    # every eigenvalue of the closed form, repeated by its multiplicity
-    values, mult = closed_form_spectrum(n, params)
-    return np.sort(np.repeat(values, mult))
+def test_least_eigenvalue_certificate_sees_a_cosine_beyond_the_edge(monkeypatch):
+    original = uqd.spectral._count_below
+
+    def spy(n, c1, c2, shift):
+        counts = original(n, c1, c2, shift)
+        if (c1, c2) == (1.0, 1.0):
+            counts[0, 0] += 1
+        return counts
+
+    monkeypatch.setattr(uqd.spectral, "_count_below", spy)
+    with pytest.raises(RuntimeError, match=r"failed at n=3: pi0 at \(1, 1\) has 1 eigenvalues"):
+        least_eigenvalues(3, [0.3, 0.9], [0.4, 0.2])
 
 
-def _sector_spectra(n, params):
-    return [np.linalg.eigvalsh(block) for block in sector_blocks(n, params)]
+def test_least_eigenvalue_certificate_fails_on_nan(monkeypatch):
+    original = uqd.spectral._chain_entries
+
+    def poisoned(n, l, m, t, c1, c2, base):
+        diagonal, link = original(n, l, m, t, c1, c2, base)
+        return np.where((l == 0) & (m == 0) & (t == 0), np.nan, diagonal), link
+
+    monkeypatch.setattr(uqd.spectral, "_chain_entries", poisoned)
+    with pytest.raises(RuntimeError, match="E and O depart from projectors by nan"):
+        least_eigenvalues(2, [0.3], [0.4])
+    monkeypatch.setattr(uqd.spectral, "_chain_entries", original)
+    monkeypatch.setattr(
+        uqd.spectral, "_pair_eigenvalues", lambda *args: (np.array([np.nan]), np.array([np.nan]))
+    )
+    with pytest.raises(RuntimeError, match="from the closed form nan"):
+        least_eigenvalues(2, [0.3], [0.4])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, SECTOR_N_MAX])
+def test_extreme_cosine_edge_is_tight(n):
+    # pi0(1, 1) = E + O - I has -n/(n+1), the largest cosine negated, with
+    # multiplicity 2n, and nothing below it
+    edge, margin = -n / (n + 1), FEASIBLE_TOL / 8
+    counts = _count_below(n, 1.0, 1.0, np.array([edge - margin, edge + margin]))
+    assert counts.sum(axis=0).tolist() == [0, 2 * n]
+
+
+def test_least_eigenvalues_at_the_cap_match_the_closed_form():
+    n = SECTOR_N_MAX
+    values = np.linspace(0.0, 1.0, 41)
+    c1, c2 = (axis.ravel() for axis in np.meshgrid(values, values, indexing="ij"))
+    least, feasible = least_eigenvalues(n, c1, c2)
+    cosine = n / (n + 1)
+    for a, b, low, ok in zip(c1.tolist(), c2.tolist(), least, feasible):
+        closed = 1 - (a + b) / 2 - math.sqrt(max((a - b) ** 2 / 4 + a * b * cosine**2, 0.0))
+        assert abs(low - closed) <= 1e-12
+        if abs(closed + FEASIBLE_TOL) > 1e-12:
+            assert bool(ok) == (closed >= -FEASIBLE_TOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 25])
+def test_members_are_every_sector_ordered_by_q(n):
+    l, m, t, bounds = uqd.spectral._members(n)
+    grid = [axis.ravel() for axis in np.indices((n + 1, n + 1, 2))]
+    sector = grid[0] + grid[1] + grid[2]
+    order = np.lexsort((2 * grid[0] + grid[2], sector))
+    for got, want in zip((l, m, t), grid):
+        np.testing.assert_array_equal(got, want[order])
+    np.testing.assert_array_equal(bounds, np.concatenate(([0], np.cumsum(np.bincount(sector)))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 40])
@@ -697,33 +786,3 @@ def test_spectrum_certificate_refuses_wrong_cosines(n, monkeypatch):
     monkeypatch.setattr(uqd.spectral, "principal_cosines", wrong)
     with pytest.raises(RuntimeError, match="spectrum certificate failed"):
         spectrum_report(n, PovmParams(0.3, 0.4))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=12),
-    edge_scales,
-    edge_scales,
-    st.lists(st.floats(min_value=-1.5, max_value=2.5), min_size=1, max_size=9),
-)
-def test_inertia_count_per_sector_with_one_scale_pair(n, c1, c2, shift):
-    shift = np.array(shift)
-    counts = _count_below(n, np.array([c1]), np.array([c2]), shift, per_sector=True)
-    assert counts.shape == (2 * n + 2, len(shift))
-    spectra = _sector_spectra(n, PovmParams(c1, c2))
-    everything = np.concatenate(spectra)
-    for k, sigma in enumerate(shift):
-        if np.min(np.abs(everything - sigma)) < 1e-9:
-            continue  # a shift on an eigenvalue has no rounding-proof count
-        assert counts[:, k].tolist() == [int(np.count_nonzero(e < sigma)) for e in spectra]
-    # the one scale pair broadcast equals it repeated at every point
-    repeated = _count_below(n, np.full(len(shift), c1), np.full(len(shift), c2), shift)
-    np.testing.assert_array_equal(counts.sum(axis=0), repeated)
-
-
-def test_inertia_count_per_sector_is_the_same_in_batches(monkeypatch):
-    n, shift = 6, np.linspace(-0.5, 1.5, 11)
-    c1, c2 = np.array([0.35]), np.array([0.8])
-    whole = _count_below(n, c1, c2, shift, per_sector=True)
-    monkeypatch.setattr(uqd.spectral, "_COUNT_DOUBLES", 3 * (2 * n + 2))
-    np.testing.assert_array_equal(_count_below(n, c1, c2, shift, per_sector=True), whole)
