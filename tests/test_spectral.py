@@ -452,6 +452,26 @@ def test_least_eigenvalues_match_spectrum_report(n, c1s, c2s):
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=12),
+    st.lists(
+        st.tuples(edge_scales, edge_scales, st.floats(min_value=-1.5, max_value=2.5)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@example(n=3, points=[(0.0, 0.0, 0.5), (0.0, 0.0, 1.5), (1.0, 1.0, -0.9), (0.4, 0.0, 0.7)])
+def test_inertia_count_matches_eigvalsh(n, points):
+    for a, b, sigma in points:
+        count = _count_below(n, a, b, np.array([sigma]))
+        assert count.dtype == np.int32
+        eigs = np.concatenate(_sector_spectra(n, PovmParams(a, b)))
+        if np.min(np.abs(eigs - sigma)) < 1e-9:
+            continue  # a shift on an eigenvalue has no rounding-proof count
+        assert count.sum() == np.count_nonzero(eigs < sigma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
     edge_scales,
     edge_scales,
     st.lists(st.floats(min_value=-1.5, max_value=2.5), min_size=1, max_size=9),
@@ -459,7 +479,7 @@ def test_least_eigenvalues_match_spectrum_report(n, c1s, c2s):
 @example(n=3, c1=0.0, c2=0.0, shift=[0.5, 1.5])
 @example(n=3, c1=1.0, c2=1.0, shift=[-0.9])
 @example(n=3, c1=0.4, c2=0.0, shift=[0.7])
-def test_inertia_count_matches_eigvalsh(n, c1, c2, shift):
+def test_inertia_count_per_sector_with_one_scale_pair(n, c1, c2, shift):
     shift = np.array(shift)
     counts = _count_below(n, c1, c2, shift)
     assert counts.shape == (2 * n + 2, len(shift)) and counts.dtype == np.int32
@@ -469,6 +489,9 @@ def test_inertia_count_matches_eigvalsh(n, c1, c2, shift):
         if np.min(np.abs(everything - sigma)) < 1e-9:
             continue  # a shift on an eigenvalue has no rounding-proof count
         assert counts[:, k].tolist() == [int(np.count_nonzero(e < sigma)) for e in spectra]
+    # counting all shifts at once equals counting them one at a time
+    one_by_one = [_count_below(n, c1, c2, np.array([sigma]))[:, 0] for sigma in shift]
+    np.testing.assert_array_equal(counts, np.array(one_by_one).T)
 
 
 def test_inertia_count_survives_a_zero_pivot():
@@ -512,9 +535,21 @@ def test_inertia_count_steps_all_sectors_at_once(n, monkeypatch):
     assert len(calls) <= 2 * n + 2 + set_up
 
 
-def test_inertia_count_is_the_same_in_batches_of_shifts(monkeypatch):
+def test_inertia_count_is_the_same_in_batches_of_points(monkeypatch):
+    n = 5
+    rng = np.random.default_rng(11)
+    c1, c2 = rng.uniform(size=2)
+    shift = rng.uniform(-0.5, 1.5, size=7)
+    whole = _count_below(n, c1, c2, shift)
+    # two shifts per batch, so the last batch is short
+    monkeypatch.setattr(uqd.spectral, "_COUNT_DOUBLES", 2 * (2 * n + 2))
+    np.testing.assert_array_equal(_count_below(n, c1, c2, shift), whole)
+
+
+def test_inertia_count_per_sector_is_the_same_in_batches(monkeypatch):
     n, shift = 6, np.linspace(-0.5, 1.5, 11)
     whole = _count_below(n, 0.35, 0.8, shift)
+    assert whole.shape == (2 * n + 2, len(shift))
     # three shifts per batch, so the last batch is short
     monkeypatch.setattr(uqd.spectral, "_COUNT_DOUBLES", 3 * (2 * n + 2))
     np.testing.assert_array_equal(_count_below(n, 0.35, 0.8, shift), whole)
