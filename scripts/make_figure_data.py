@@ -2,11 +2,16 @@
 
 Writes one CSV per register size into --out-dir, then prints each curve's
 regime window and its flat-prior optimum.  A size below 1 or fewer than 2
-points is refused with exit 2 before anything is written.
+points is refused with exit 2 before anything is written.  An output
+directory that cannot be made exits 1 with one
+`make_figure_data: cannot write <path>: <error>` line on stderr, and a sweep
+that cannot write its CSV exits 1 with the sweep's own `uqd: cannot write`
+line.
 """
 
 import argparse
 import pathlib
+import sys
 
 from uqd.cli import main as cli_main
 from uqd.strategy import avg_success_povm, validity_range
@@ -22,7 +27,11 @@ def main(argv=None):
         parser.error("need points >= 2 and every size >= 1")
 
     out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"make_figure_data: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 1
     for n in args.sizes:
         path = out_dir / f"sweep_n{n}.csv"
         code = cli_main(

@@ -18,7 +18,7 @@ from .fullspace import FULL_N_MAX, run_verification
 from .montecarlo import mc_average_success
 from .povm import PovmParams
 from .spectral import spectrum_report
-from .strategy import DiscriminatorConfig, avg_success_povm, decide, validity_range
+from .strategy import DiscriminatorConfig, Regime, decide
 
 TOOL_NAME = "uqd"
 
@@ -106,21 +106,21 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.points < 2:
         parser.error(f"--points must be at least 2, got {args.points}")
     n = args.n
-    low, high = validity_range(n)
+    scale = n / (2 * (n + 1))
     lines = ["eta1,p_vn1,p_vn2,p_povm,p_opt,regime"]
     for i in range(args.points):
         eta1 = i / (args.points - 1)
         decision = decide(DiscriminatorConfig(n, eta1))
-        scale = n / (2 * (n + 1))
-        povm_field = _fmt(avg_success_povm(n, eta1)) if low <= eta1 <= high else ""
+        p_opt = _fmt(decision.avg_success)
         lines.append(
             ",".join(
                 (
                     _fmt(eta1),
                     _fmt(eta1 * scale),
                     _fmt((1.0 - eta1) * scale),
-                    povm_field,
-                    _fmt(decision.avg_success),
+                    # decide takes the POVM exactly inside the window
+                    p_opt if decision.regime is Regime.POVM else "",
+                    p_opt,
                     decision.regime.value,
                 )
             )

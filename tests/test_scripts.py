@@ -1,6 +1,7 @@
 """The two scripts, run through their `main` as their command lines would."""
 
 import csv
+import io
 import json
 import importlib.util
 import pathlib
@@ -61,6 +62,30 @@ def test_feasibility_scan_rows(n, grid, tmp_path, capsys):
         assert abs(least - abs(spectrum_report(n, PovmParams(c1, c2)).min_eigenvalue)) <= 1e-12
 
 
+def _reference_scan_bytes(n, grid):
+    """The scan's CSV as csv.writer writes it, one row per grid point."""
+    values = np.linspace(0.0, 1.0, grid)
+    c1, c2 = (axis.ravel() for axis in np.meshgrid(values, values, indexing="ij"))
+    least, feasible = least_eigenvalues(n, c1, c2)
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(["c1", "c2", "min_eigenvalue", "feasible"])
+    for a, b, low, ok in zip(c1, c2, least, feasible):
+        writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{low:.17g}", int(ok)])
+    return handle.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("n, grid", [(1, 2), (2, 9), (5, 7), (8, 11), (100, 41)])
+def test_feasibility_scan_csv_is_what_csv_writer_writes(n, grid, tmp_path, capsys):
+    path = tmp_path / "feasibility.csv"
+    assert feasibility_scan.main(["--n", str(n), "--grid", str(grid), "--out", str(path)]) == 0
+    capsys.readouterr()
+    written = path.read_bytes()
+    assert written.startswith(b"c1,c2,min_eigenvalue,feasible\r\n")
+    assert written.count(b"\r\n") == grid * grid + 1
+    assert written == _reference_scan_bytes(n, grid)
+
+
 def test_feasibility_scan_usage_errors(tmp_path):
     for argv in (["--n", "0"], ["--grid", "1"]):
         with pytest.raises(SystemExit) as exc:
@@ -101,6 +126,22 @@ def test_feasibility_scan_exits_1_out_of_memory(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(feasibility_scan, "least_eigenvalues", exhausted)
     argv = ["--n", "3", "--grid", "5", "--out", str(tmp_path / "scan.csv")]
     _expect_clean_failure(argv, capsys, "out of memory: cannot allocate")
+
+
+def test_feasibility_scan_exits_1_when_the_output_is_a_directory(tmp_path, capsys):
+    argv = ["--n", "3", "--grid", "5", "--out", str(tmp_path)]
+    _expect_clean_failure(argv, capsys, f"cannot write {tmp_path}: ")
+    assert tmp_path.is_dir()
+
+
+def test_feasibility_scan_exits_1_when_the_output_is_under_a_file(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    path = blocker / "x.csv"
+    _expect_clean_failure(
+        ["--n", "3", "--grid", "5", "--out", str(path)], capsys, f"cannot write {path}: "
+    )
+    assert blocker.read_text() == "kept\n"
 
 
 def test_make_figure_data(tmp_path, capsys):
@@ -151,3 +192,15 @@ def test_make_figure_data_stops_on_failed_sweep(tmp_path, capsys):
     assert captured.out == ""
     assert "cannot write" in captured.err
     assert not (tmp_path / "sweep_n6.csv").exists()
+
+
+def test_make_figure_data_exits_1_when_the_out_dir_is_a_file(tmp_path, capsys):
+    blocker = tmp_path / "figures"
+    blocker.write_text("kept\n")
+    argv = ["--sizes", "2", "--points", "11", "--out-dir", str(blocker)]
+    assert make_figure_data.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"make_figure_data: cannot write {blocker}: ")
+    assert blocker.read_text() == "kept\n"

@@ -586,6 +586,22 @@ def test_least_eigenvalues_build_no_blocks(monkeypatch):
     np.testing.assert_array_equal(got[1], [True, False])
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 100, SECTOR_N_MAX])
+def test_least_eigenvalues_do_not_depend_on_the_batch(n):
+    # a grid and the constraint curve certified in one call, as the
+    # feasibility scan does, read the same as two separate calls
+    values = np.linspace(0.0, 1.0, 41)
+    c1, c2 = (axis.ravel() for axis in np.meshgrid(values, values, indexing="ij"))
+    curve = [constraint_c2(c, n) for c in values.tolist()]
+    least, feasible = least_eigenvalues(
+        n, np.concatenate((c1, values)), np.concatenate((c2, curve))
+    )
+    grid_least, grid_feasible = least_eigenvalues(n, c1, c2)
+    curve_least, curve_feasible = least_eigenvalues(n, values, curve)
+    assert np.array_equal(least, np.concatenate((grid_least, curve_least)))
+    assert np.array_equal(feasible, np.concatenate((grid_feasible, curve_feasible)))
+
+
 def test_least_eigenvalues_validation():
     with pytest.raises(ValueError, match="equal length"):
         least_eigenvalues(2, [0.1, 0.2], [0.1])
