@@ -76,10 +76,9 @@ def _reference_scan_bytes(n, grid):
 
 
 @pytest.mark.parametrize("n, grid", [(1, 2), (2, 9), (5, 7), (8, 11), (100, 41)])
-def test_feasibility_scan_csv_is_what_csv_writer_writes(n, grid, tmp_path, capsys):
+def test_feasibility_scan_csv_is_what_csv_writer_writes(n, grid, tmp_path):
     path = tmp_path / "feasibility.csv"
     assert feasibility_scan.main(["--n", str(n), "--grid", str(grid), "--out", str(path)]) == 0
-    capsys.readouterr()
     written = path.read_bytes()
     assert written.startswith(b"c1,c2,min_eigenvalue,feasible\r\n")
     assert written.count(b"\r\n") == grid * grid + 1
@@ -128,19 +127,13 @@ def test_feasibility_scan_exits_1_out_of_memory(tmp_path, capsys, monkeypatch):
     _expect_clean_failure(argv, capsys, "out of memory: cannot allocate")
 
 
-def test_feasibility_scan_exits_1_when_the_output_is_a_directory(tmp_path, capsys):
-    argv = ["--n", "3", "--grid", "5", "--out", str(tmp_path)]
-    _expect_clean_failure(argv, capsys, f"cannot write {tmp_path}: ")
-    assert tmp_path.is_dir()
-
-
-def test_feasibility_scan_exits_1_when_the_output_is_under_a_file(tmp_path, capsys):
+@pytest.mark.parametrize("target", ["directory", "under_a_file"])
+def test_feasibility_scan_exits_1_when_it_cannot_write(target, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("kept\n")
-    path = blocker / "x.csv"
-    _expect_clean_failure(
-        ["--n", "3", "--grid", "5", "--out", str(path)], capsys, f"cannot write {path}: "
-    )
+    path = tmp_path if target == "directory" else blocker / "x.csv"
+    argv = ["--n", "3", "--grid", "5", "--out", str(path)]
+    _expect_clean_failure(argv, capsys, f"cannot write {path}: ")
     assert blocker.read_text() == "kept\n"
 
 
