@@ -3,16 +3,19 @@
 Scans a (c1, c2) grid, records the smallest eigenvalue of the inconclusive
 operator at each point, and reports how closely the numerical feasibility
 edge tracks the closed-form constraint curve.  Each point's minimum comes
-from `least_eigenvalues`: the numeric least eigenvalue of the 3x3 blocks
-J_1 and K_1, certified once per call.  The certificate checks that the
-chain entries form projectors E and O, bounds every Jordan cosine by
-n/(n+1) with one inertia count of pi0 at (1, 1), and needs each minimum to
-match the closed form, so a scan costs O(n^2) plus O(1) per point.  The
-grid and the constraint-curve points go into one call, so one certificate
-covers both.  The CSV holds the bytes csv.writer would write, CRLF line
-ends included, written one c1 row of the grid at a time with each axis
-value formatted once.  A file that cannot be written exits 1 with one
-`feasibility_scan: cannot write <path>: <error>` line on stderr.
+from `least_eigenvalues`: the closed-form lambda_minus, the value
+`uqd spectrum` reports, certified once per call.  The certificate checks
+that the chain entries form projectors E and O, bounds every Jordan cosine
+by n/(n+1) with one inertia count of pi0 at (1, 1), and needs inertia
+counts of the 3x3 blocks J_1 and K_1 to put their least eigenvalue within
+3 FEASIBLE_TOL/4 of each minimum, so a scan costs O(n^2) plus O(1) per
+point, with no eigen-solve.  A size above SECTOR_N_MAX is refused before
+anything is computed.  The grid and the constraint-curve points go into
+one call, so one certificate covers both.  The CSV holds the bytes
+csv.writer would write, CRLF line ends included, written one c1 row of the
+grid at a time with each axis value formatted once.  A file that cannot be
+written exits 1 with one `feasibility_scan: cannot write <path>: <error>`
+line on stderr.
 """
 
 import argparse
@@ -21,10 +24,13 @@ import sys
 
 import numpy as np
 
-from uqd.spectral import constraint_c2, least_eigenvalues
+from uqd.spectral import SECTOR_N_MAX, constraint_c2, least_eigenvalues
 
 
 def _scan(args: argparse.Namespace) -> int:
+    if args.n > SECTOR_N_MAX:
+        # refused before constraint_c2, which cannot take a huge n as a float
+        raise ValueError(f"sector blocks are capped at n <= {SECTOR_N_MAX}, got {args.n}")
     grid = args.grid
     values = np.linspace(0.0, 1.0, grid)
     c1, c2 = (axis.ravel() for axis in np.meshgrid(values, values, indexing="ij"))

@@ -54,13 +54,14 @@ a bracket of +-FEASIBLE_TOL around each cluster of predicted values must
 equal the sector's predicted multiplicity, else RuntimeError.  That is at
 most 4n+2 shifts at O(n^2) each, O(n^3) in all, against O(n^4) for an
 eigen-solve of the blocks.  `least_eigenvalues` answers only the
-feasibility question, for many scale pairs at once: it takes the numeric
-least eigenvalue of the 3x3 blocks J_1 and K_1 and certifies it once per
-call.  One O(n^2) pass checks that the chain entries at the scales (1, 0)
-and (0, 1) are projectors E and O, one inertia count at (1, 1), where
-pi0 = E + O - I, bounds every Jordan cosine by n/(n+1), and each pair's
-minimum must match lambda_minus.  That costs O(n^2) per call and O(1) per
-pair.
+feasibility question, for many scale pairs at once: it takes lambda_minus
+from the closed form and certifies it once per call.  One O(n^2) pass
+checks that the chain entries at the scales (1, 0) and (0, 1) are
+projectors E and O, one inertia count at (1, 1), where pi0 = E + O - I,
+bounds every Jordan cosine by n/(n+1), and at each pair two inertia counts
+of the 3x3 blocks J_1 and K_1 must put the least eigenvalue of both within
+3 FEASIBLE_TOL/4 of lambda_minus.  That costs O(n^2) per call and O(1) per
+pair, with no eigen-solve.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ FEASIBLE_TOL = 1e-9
 # n = 400.  The certificate of `spectrum_report` grows as n^3: at n = 400 it
 # takes 2.1 s in a process that peaks at 59 MB RSS (2 cores; the eigen-solve
 # of every block took 9.7 s and 100 MB).  That of `least_eigenvalues` grows
-# as n^2 per call: a one-pair call takes about 49 ms at n = 400 and 4.6 ms at
-# n = 100 (2 cores, first call in a fresh process).  Larger sizes are
-# refused before anything is allocated.
+# as n^2 per call: a one-pair call takes about 52 ms at n = 400 and 5.1 ms at
+# n = 100 (2 cores, first call in a fresh process), and the 1722 pairs of a
+# 41x41 scan and its curve add about 0.2-0.4 ms to a call at n <= 100.
+# Larger sizes are refused before anything is allocated.
 SECTOR_N_MAX = 400
 
 
@@ -551,21 +553,6 @@ def _certify_spectrum(n: int, c1: float, c2: float, row: np.ndarray) -> None:
         )
 
 
-def _end_block_minimum(n: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Least eigenvalue of J_1 and K_1 (sectors 1 and 2n) at each scale
-    pair, from one eigvalsh over the stacked 3x3 blocks."""
-    *members, bounds = _members(n)
-    base = 1.0 - c1 - c2
-    stack = np.zeros((2, len(c1), 3, 3))
-    for block, s in zip(stack, (1, 2 * n)):
-        for i in range(3):
-            member = (axis[bounds[s] + i] for axis in members)
-            block[:, i, i], link = _chain_entries(n, *member, c1, c2, base)
-            if i < 2:
-                block[:, i, i + 1] = block[:, i + 1, i] = link
-    return np.linalg.eigvalsh(stack)[..., 0].min(axis=0)
-
-
 # doubles per (sector, shift) working array of the inertia count: the shifts
 # are taken in batches of _COUNT_DOUBLES // (2n+2), so memory stays O(shifts)
 # and the dozen such arrays of one step stay in a few-MB cache
@@ -611,6 +598,33 @@ def _count_below(n: int, c1: float, c2: float, shift: np.ndarray) -> np.ndarray:
     return below
 
 
+def _end_block_counts(n: int, c1: np.ndarray, c2: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of J_1 and K_1 (sectors 1 and 2n) below each
+    shift, as a (2, shifts, pairs) int32 array, J_1 first.  c1 and c2 are
+    1-D arrays of scale pairs and shift[k, i] is the k-th shift at pair i.
+
+    The three members of both blocks broadcast against the scales in one
+    `_chain_entries` call, and the recurrence of `_count_below` takes its
+    three steps on both blocks and every shift at once, so no block is
+    formed and no eigen-solve made.  An exact zero pivot is replaced by the
+    smallest normal float.
+    """
+    # members (l, m, t) of J_1 and K_1 in `_members` order, against the scales
+    l = np.array([[0, 0, 1], [n - 1, n, n]])[..., None]
+    m = np.array([[1, 0, 0], [n, n, n - 1]])[..., None]
+    t = np.array([[0, 1, 0], [1, 0, 1]])[..., None]
+    diagonal, link = _chain_entries(n, l, m, t, c1, c2, 1.0 - c1 - c2)
+    below = np.zeros((2, *shift.shape), dtype=np.int32)
+    tiny = np.finfo(float).tiny
+    pivot, squared = 1.0, 0.0
+    for i in range(3):
+        pivot = (diagonal[:, i, None] - shift) - squared / pivot
+        pivot[pivot == 0.0] = tiny
+        below += pivot < 0.0
+        squared = link[:, i, None] ** 2
+    return below
+
+
 def _projector_defect(n: int) -> float:
     """Largest departure of E and O from orthogonal projectors, where E and
     O are the chain entries at the scales (1, 0) and (0, 1) with base 0.
@@ -643,9 +657,10 @@ def least_eigenvalues(n: int, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     """Least eigenvalue of the inconclusive operator and the feasibility
     verdict at many scale pairs (c1[i], c2[i]) at once.
 
-    The minimum is read numerically from the 3x3 blocks J_1 and K_1 and
-    certified once per call, so that at no pair does an eigenvalue lie more
-    than FEASIBLE_TOL below it.  With delta = FEASIBLE_TOL/256:
+    The minimum is lambda_n-, the least value of the closed form and the
+    `min_eigenvalue` of `spectrum_report`, certified once per call against
+    the sector chains, so that at no pair does the least eigenvalue lie more
+    than FEASIBLE_TOL from it.  With delta = FEASIBLE_TOL/256:
 
     1. E and O are projectors.  Every sector chain is
        (1 - c1 - c2) I + c1 E + c2 O by construction of `_chain_entries`,
@@ -664,21 +679,28 @@ def least_eigenvalues(n: int, c1, c2) -> tuple[np.ndarray, np.ndarray]:
        of the chain at (1, 1) must find no eigenvalue below
        -n/(n+1) - FEASIBLE_TOL/8.  So every gamma is at most
        n/(n+1) + FEASIBLE_TOL/8 + 10 delta, and no piece has E' = O' = 0.
-    3. The numeric minimum matches the closed form.  On a block of cosine
-       gamma pi0 has the least eigenvalue
+    3. J_1 and K_1 reach the closed form.  On a block of cosine gamma pi0
+       has the least eigenvalue
        lambda_-(gamma) = 1 - (c1+c2)/2 - sqrt((c1-c2)^2/4 + c1 c2 gamma^2),
        which falls as gamma grows, with slope at most sqrt(c1 c2) <= 1.  The
        other pieces give 1, 1 - c1 or 1 - c2, none below
        lambda_-(0) = 1 - max(c1, c2).  With steps 1 and 2, no eigenvalue of
        the chain lies below lambda_n- - FEASIBLE_TOL/8 - 20 delta, where
-       lambda_n- = lambda_-(n/(n+1)) (`_pair_eigenvalues`).  The J_1/K_1
-       minimum must lie within 3 FEASIBLE_TOL/4 of lambda_n- at every pair,
-       so no eigenvalue lies more than (3/4 + 1/8 + 20/256) FEASIBLE_TOL
-       below it; the rest of FEASIBLE_TOL covers rounding.
+       lambda_n- = lambda_-(n/(n+1)) (`_pair_eigenvalues`).  At every pair,
+       inertia counts of J_1 and K_1 (`_end_block_counts`) must find no
+       eigenvalue below lambda_n- - 3 FEASIBLE_TOL/4 and at least one below
+       lambda_n- + 3 FEASIBLE_TOL/4, so the least eigenvalue of each block
+       lies within 3 FEASIBLE_TOL/4 of lambda_n-.  The counted blocks come
+       from the chain entries alone, not from the formula.  So the least
+       eigenvalue of pi0 lies between lambda_n- - (1/8 + 20/256)
+       FEASIBLE_TOL and lambda_n- + 3 FEASIBLE_TOL/4; the rest of
+       FEASIBLE_TOL covers rounding.
 
     Steps 1 and 2 cost O(n^2) once per call and step 3 O(1) per pair; no
-    spectrum, dense operator or stored block is formed.  Returns (least,
-    feasible) as arrays; raises RuntimeError if a check fails or reads NaN.
+    spectrum, dense operator or stored block is formed and no eigen-solve
+    made.  Returns (lambda_n-, feasible) as arrays, feasible meaning
+    lambda_n- >= -FEASIBLE_TOL; raises RuntimeError if a check fails or
+    reads NaN.
     """
     n = _check_sector_size(n)
     c1 = np.asarray(c1, dtype=float)
@@ -702,14 +724,18 @@ def least_eigenvalues(n: int, c1, c2) -> tuple[np.ndarray, np.ndarray]:
             f"{failed}: pi0 at (1, 1) has {beyond} eigenvalues below {edge!r}, "
             f"so a Jordan cosine exceeds {n}/{n + 1}"
         )
-    least = _end_block_minimum(n, c1, c2)
-    closed, _ = _pair_eigenvalues(n, n + 1, c1, c2)
-    far = ~(np.abs(least - closed) <= 3 * FEASIBLE_TOL / 4)
+    least, _ = _pair_eigenvalues(n, n + 1, c1, c2)
+    margin = 3 * FEASIBLE_TOL / 4
+    below = _end_block_counts(n, c1, c2, least + np.array([[-margin], [margin]]))
+    far = (below[:, 0] != 0) | (below[:, 1] == 0)
     if far.any():
-        i = int(np.flatnonzero(far)[0])
+        i = int(np.flatnonzero(far.any(axis=0))[0])
+        block = int(not far[0, i])
+        value = float(least[i])
         raise RuntimeError(
-            f"{failed}, (c1, c2) = ({float(c1[i])!r}, {float(c2[i])!r}): the J_1/K_1 "
-            f"minimum {float(least[i])!r} lies more than {3 * FEASIBLE_TOL / 4:g} from "
-            f"the closed form {float(closed[i])!r}"
+            f"{failed}, (c1, c2) = ({float(c1[i])!r}, {float(c2[i])!r}): "
+            f"{('J_1', 'K_1')[block]} has {below[block, 0, i]} eigenvalues below "
+            f"{value - margin!r} and {below[block, 1, i]} below {value + margin!r}, so its "
+            f"least eigenvalue lies more than {margin:g} from the closed form {value!r}"
         )
     return least, least >= -FEASIBLE_TOL

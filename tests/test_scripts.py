@@ -107,11 +107,22 @@ def test_feasibility_scan_exits_1_beyond_the_cap(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_feasibility_scan_exits_1_far_beyond_the_cap(tmp_path, capsys):
+    # too large for a float: refused before the constraint curve is formed
+    path = tmp_path / "huge.csv"
+    argv = ["--n", str(10**400), "--grid", "3", "--out", str(path)]
+    _expect_clean_failure(argv, capsys, "sector blocks are capped")
+    assert not path.exists()
+
+
 def test_feasibility_scan_exits_1_on_failed_certificate(tmp_path, capsys, monkeypatch):
-    original = uqd.spectral._end_block_minimum
-    monkeypatch.setattr(
-        uqd.spectral, "_end_block_minimum", lambda *args: original(*args) + 1e-6
-    )
+    original = uqd.spectral._pair_eigenvalues
+
+    def raised(*args):
+        low, high = original(*args)
+        return low + 1e-6, high
+
+    monkeypatch.setattr(uqd.spectral, "_pair_eigenvalues", raised)
     path = tmp_path / "scan.csv"
     argv = ["--n", "3", "--grid", "5", "--out", str(path)]
     _expect_clean_failure(argv, capsys, "least-eigenvalue certificate failed at n=3")

@@ -445,7 +445,7 @@ def test_least_eigenvalues_match_spectrum_report(n, c1s, c2s):
     assert least.dtype == np.float64 and feasible.dtype == np.bool_
     for i, (a, b) in enumerate(grid):
         report = spectrum_report(n, PovmParams(a, b))
-        assert abs(least[i] - report.min_eigenvalue) <= 1e-12
+        assert least[i] == report.min_eigenvalue
         assert bool(feasible[i]) == report.feasible
 
 
@@ -555,23 +555,104 @@ def test_inertia_count_per_sector_is_the_same_in_batches(monkeypatch):
     np.testing.assert_array_equal(_count_below(n, 0.35, 0.8, shift), whole)
 
 
+def _end_blocks(n, c1, c2):
+    blocks = sector_blocks(n, PovmParams(c1, c2))
+    return blocks[1], blocks[2 * n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.lists(st.tuples(edge_scales, edge_scales), min_size=1, max_size=4),
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4),
+)
+@example(n=1, pairs=[(0.0, 0.0), (1.0, 1.0)], offsets=[-1e-6, 1e-6, 0.5])
+@example(n=3, pairs=[(0.3, 0.4), (1.0, 0.0), (0.0, 1.0)], offsets=[-1e-3, 1e-3])
+@example(n=40, pairs=[(1.0, 1.0), (0.5, 0.7)], offsets=[-1e-6, 1e-6])
+def test_end_block_counts_match_eigvalsh(n, pairs, offsets):
+    # shifts offset from each pair's closed-form least eigenvalue
+    c1, c2 = (np.array(axis) for axis in zip(*pairs))
+    least, _ = uqd.spectral._pair_eigenvalues(n, n + 1, c1, c2)
+    shift = least + np.array(offsets)[:, None]
+    counts = uqd.spectral._end_block_counts(n, c1, c2, shift)
+    assert counts.shape == (2, len(offsets), len(pairs)) and counts.dtype == np.int32
+    for i, (a, b) in enumerate(pairs):
+        for k, block in enumerate(_end_blocks(n, a, b)):
+            eigs = np.linalg.eigvalsh(block)
+            for j, sigma in enumerate(shift[:, i]):
+                if np.min(np.abs(eigs - sigma)) < 1e-9:
+                    continue  # a shift on an eigenvalue has no rounding-proof count
+                assert counts[k, j, i] == np.count_nonzero(eigs < sigma)
+
+
+def test_end_block_counts_survive_a_zero_pivot():
+    n = 3
+    # at (0, 0) both blocks are I, so a shift of 1 makes every pivot zero;
+    # at (0.3, 0.6) a shift equal to the first diagonal entry of J_1 makes
+    # only its first pivot zero, although the shift is no eigenvalue
+    j1, _ = _end_blocks(n, 0.3, 0.6)
+    c1, c2 = np.array([0.0, 0.3]), np.array([0.0, 0.6])
+    shift = np.array([[1.0, j1[0, 0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = uqd.spectral._end_block_counts(n, c1, c2, shift)
+    for i, (a, b) in enumerate(zip(c1, c2)):
+        for k, block in enumerate(_end_blocks(n, a, b)):
+            assert counts[k, 0, i] == np.count_nonzero(np.linalg.eigvalsh(block) < shift[0, i])
+    assert counts[:, 0, 0].tolist() == [0, 0]
+
+
+def test_least_eigenvalues_make_no_eigen_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("made an eigen-solve")
+
+    c1, c2 = [0.2, 1.0, 0.0, 0.6], [0.8, 1.0, 0.0, 0.3]
+    expected = least_eigenvalues(7, c1, c2)
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = least_eigenvalues(7, c1, c2)
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+
+
 def test_least_eigenvalue_certificate_is_not_vacuous(monkeypatch):
     c1, c2 = np.array([0.3, 0.8, 0.5]), np.array([0.4, 0.9, 0.0])
     least, _ = least_eigenvalues(4, c1, c2)
-    original = uqd.spectral._end_block_minimum
-    monkeypatch.setattr(
-        uqd.spectral, "_end_block_minimum", lambda *args: original(*args) + 1e-6
-    )
-    with pytest.raises(RuntimeError, match="certificate failed at n=4"):
-        least_eigenvalues(4, c1, c2)
+    original = uqd.spectral._pair_eigenvalues
+
+    def moved(delta):
+        def pair(*args):
+            low, high = original(*args)
+            return low + delta, high
+
+        return pair
+
+    for delta in (1e-6, -1e-6):
+        monkeypatch.setattr(uqd.spectral, "_pair_eigenvalues", moved(delta))
+        with pytest.raises(RuntimeError, match="certificate failed at n=4"):
+            least_eigenvalues(4, c1, c2)
     # a raise smaller than FEASIBLE_TOL stays inside the certified margin
-    monkeypatch.setattr(
-        uqd.spectral,
-        "_end_block_minimum",
-        lambda *args: original(*args) + FEASIBLE_TOL / 2,
-    )
+    monkeypatch.setattr(uqd.spectral, "_pair_eigenvalues", moved(FEASIBLE_TOL / 2))
     raised, _ = least_eigenvalues(4, c1, c2)
     np.testing.assert_array_equal(raised, least + FEASIBLE_TOL / 2)
+
+
+@pytest.mark.parametrize("block, member", [("J_1", (0, 0, 1)), ("K_1", (4, 4, 0))])
+@pytest.mark.parametrize("c1, c2", [(0.3, 0.4), (0.9, 0.2), (0.8, 0.9), (0.5, 0.0)])
+def test_least_eigenvalue_certificate_reads_the_end_blocks(block, member, c1, c2, monkeypatch):
+    original = uqd.spectral._chain_entries
+
+    def moved(n, l, m, t, c1, c2, base):
+        diagonal, link = original(n, l, m, t, c1, c2, base)
+        if np.ndim(c1):  # only the end-block count takes arrays of scales
+            at = (l == member[0]) & (m == member[1]) & (t == member[2])
+            diagonal = np.where(at, diagonal + 1e-6, diagonal)
+        return diagonal, link
+
+    least_eigenvalues(4, [c1], [c2])
+    monkeypatch.setattr(uqd.spectral, "_chain_entries", moved)
+    with pytest.raises(RuntimeError, match=f"failed at n=4, .*: {block} has"):
+        least_eigenvalues(4, [c1], [c2])
 
 
 def test_least_eigenvalues_build_no_blocks(monkeypatch):
